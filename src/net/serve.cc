@@ -2,6 +2,9 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -37,6 +40,35 @@ Status GetNumber(const JsonValue& object, const std::string& key,
     return Status::InvalidArgument("field '" + key + "' must be a number");
   }
   *out = field->number();
+  return Status::OK();
+}
+
+/// Largest deadline or sleep a request may ask for, in microseconds: half
+/// the clock's nanosecond range (~146 years), so adding it to any
+/// steady_clock reading cannot overflow.
+constexpr int64_t kMaxLimitMicros =
+    std::chrono::duration_cast<std::chrono::microseconds>(
+        QueryContext::Clock::duration::max())
+        .count() /
+    2;
+
+constexpr uint64_t kMaxBytes = std::numeric_limits<uint64_t>::max();
+constexpr double kMiB = 1 << 20;
+
+/// Scales a limit field into whole units of its integer type. A double past
+/// the integer's range converts with undefined behaviour (a 1e300 ms
+/// deadline became INT64_MIN microseconds: already expired), so negative,
+/// NaN and out-of-range values are an InvalidArgument.
+template <typename T>
+Status ScaleLimit(const std::string& name, double value, double scale, T max,
+                  T* out) {
+  const double scaled = value * scale;
+  if (!(scaled >= 0 && scaled < static_cast<double>(max))) {
+    return Status::InvalidArgument(
+        name + " must be in [0, " +
+        std::to_string(static_cast<uint64_t>(max / scale)) + "]");
+  }
+  *out = static_cast<T>(scaled);
   return Status::OK();
 }
 
@@ -127,6 +159,7 @@ JsonValue SearchStatsToJson(const SearchStats& stats) {
   v.Set("shared_cache_hits",
         JsonValue::Number(static_cast<uint64_t>(stats.shared_cache_hits)));
   v.Set("windows_scanned", JsonValue::Number(stats.windows_scanned));
+  v.Set("groups_swept", JsonValue::Number(stats.groups_swept));
   v.Set("candidate_texts", JsonValue::Number(stats.candidate_texts));
   v.Set("degraded_funcs",
         JsonValue::Number(static_cast<uint64_t>(stats.degraded_funcs)));
@@ -277,10 +310,19 @@ HttpResponse SearchService::HandleSearch(const HttpRequest& request) {
     return ErrorResponse(Status::InvalidArgument(
         "malformed x-ndss-deadline-ms header: '" + *header + "'"));
   }
-  if (deadline_ms < 0 || memory_mb < 0 || debug_sleep_ms < 0) {
-    return ErrorResponse(
-        Status::InvalidArgument("negative deadline/memory/sleep"));
+  int64_t deadline_micros = 0;
+  int64_t debug_sleep_micros = 0;
+  uint64_t memory_bytes = 0;
+  s = ScaleLimit(header != nullptr ? "x-ndss-deadline-ms" : "deadline_ms",
+                 deadline_ms, 1000.0, kMaxLimitMicros, &deadline_micros);
+  if (s.ok()) {
+    s = ScaleLimit("memory_mb", memory_mb, kMiB, kMaxBytes, &memory_bytes);
   }
+  if (s.ok()) {
+    s = ScaleLimit("debug_sleep_ms", debug_sleep_ms, 1000.0, kMaxLimitMicros,
+                   &debug_sleep_micros);
+  }
+  if (!s.ok()) return ErrorResponse(s);
 
   // Admission control: reject before any index work.
   const int64_t admitted = inflight_.fetch_add(1, std::memory_order_relaxed);
@@ -296,21 +338,19 @@ HttpResponse SearchService::HandleSearch(const HttpRequest& request) {
   }
 
   if (debug_sleep_ms > 0 && options_.allow_debug_sleep) {
-    std::this_thread::sleep_for(std::chrono::microseconds(
-        static_cast<int64_t>(debug_sleep_ms * 1000)));
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(debug_sleep_micros));
   }
 
   SearchOptions search_options = options_.search;
   search_options.theta = theta;
   search_options.use_prefix_filter = !no_prefix_filter;
 
-  MemoryBudget request_budget(
-      static_cast<uint64_t>(memory_mb * (1 << 20)), &server_budget_);
+  MemoryBudget request_budget(memory_bytes, &server_budget_);
   QueryContext ctx;
   ctx.set_memory_budget(&request_budget);
   if (deadline_ms > 0) {
-    ctx.set_deadline(arrival + std::chrono::microseconds(
-                                   static_cast<int64_t>(deadline_ms * 1000)));
+    ctx.set_deadline(arrival + std::chrono::microseconds(deadline_micros));
   }
 
   SearchResult result;
@@ -375,25 +415,31 @@ HttpResponse SearchService::HandleSearchBatch(const HttpRequest& request) {
     return ErrorResponse(Status::InvalidArgument(
         "malformed x-ndss-deadline-ms header: '" + *header + "'"));
   }
-  if (deadline_ms < 0 || batch_deadline_ms < 0 || memory_mb < 0 ||
-      inflight_mb < 0) {
-    return ErrorResponse(
-        Status::InvalidArgument("negative deadline/memory limit"));
-  }
-
   BatchLimits limits;
-  limits.query_timeout_micros = static_cast<int64_t>(deadline_ms * 1000);
+  int64_t batch_deadline_micros = 0;
+  s = ScaleLimit("deadline_ms", deadline_ms, 1000.0, kMaxLimitMicros,
+                 &limits.query_timeout_micros);
+  if (s.ok()) {
+    s = ScaleLimit(
+        header != nullptr ? "x-ndss-deadline-ms" : "batch_deadline_ms",
+        batch_deadline_ms, 1000.0, kMaxLimitMicros, &batch_deadline_micros);
+  }
+  if (s.ok()) {
+    s = ScaleLimit("memory_mb", memory_mb, kMiB, kMaxBytes,
+                   &limits.max_query_bytes);
+  }
+  if (s.ok()) {
+    s = ScaleLimit("inflight_mb", inflight_mb, kMiB, kMaxBytes,
+                   &limits.max_inflight_bytes);
+  }
+  if (!s.ok()) return ErrorResponse(s);
   if (batch_deadline_ms > 0) {
     // Absolute, measured from request receipt — parse time is on the
     // clock, exactly like ShardedSearcher's own fan-out composition.
     limits.has_batch_deadline = true;
     limits.batch_deadline =
-        arrival + std::chrono::microseconds(
-                      static_cast<int64_t>(batch_deadline_ms * 1000));
+        arrival + std::chrono::microseconds(batch_deadline_micros);
   }
-  limits.max_query_bytes = static_cast<uint64_t>(memory_mb * (1 << 20));
-  limits.max_inflight_bytes =
-      static_cast<uint64_t>(inflight_mb * (1 << 20));
   limits.inflight_parent = &server_budget_;
   const JsonValue* shed = parsed->Find("shed_policy");
   if (shed != nullptr) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 
 #include <chrono>
@@ -174,6 +175,19 @@ Result<Searcher> Searcher::InMemory(const Corpus& corpus,
   return Searcher(meta, scheme, std::move(sources));
 }
 
+Result<Searcher> Searcher::FromSources(
+    const IndexMeta& meta,
+    std::vector<std::unique_ptr<InvertedListSource>> sources) {
+  if (meta.k == 0 || sources.size() != meta.k) {
+    return Status::InvalidArgument("need one list source per hash function");
+  }
+  if (std::count(sources.begin(), sources.end(), nullptr) ==
+      static_cast<std::ptrdiff_t>(sources.size())) {
+    return Status::InvalidArgument("every list source is missing");
+  }
+  return Searcher(meta, meta.Scheme(), std::move(sources));
+}
+
 uint32_t Searcher::degraded_funcs() const {
   std::lock_guard<std::mutex> lock(degraded_->mu);
   uint32_t dropped = 0;
@@ -235,34 +249,81 @@ uint64_t Searcher::ListCountPercentile(double fraction) const {
 
 namespace {
 
-/// Collision totals can never reach beta for a text whose group is smaller,
-/// so groups below the threshold are skipped without running Algorithm 4.
+/// One text's windows, gathered for CollisionCount.
 struct TextGroup {
   TextId text;
   std::vector<PostedWindow> windows;
 };
 
-void GroupByText(std::vector<PostedWindow>& windows,
-                 std::vector<TextGroup>* groups, uint32_t min_size) {
-  // (text, l) order as one radix pass over packed 64-bit keys; for the
-  // Zipfian pass-1 window counts this sort dominated the CPU profile.
-  // CollisionCount's output is invariant to the order of same-(text, l)
-  // windows, so the stability change from std::sort is unobservable.
-  RadixSortByKey(&windows, [](const PostedWindow& w) {
-    return (static_cast<uint64_t>(w.text) << 32) | w.l;
-  });
-  size_t i = 0;
-  while (i < windows.size()) {
-    size_t j = i;
-    while (j < windows.size() && windows[j].text == windows[i].text) ++j;
-    if (j - i >= min_size) {
-      TextGroup group;
-      group.text = windows[i].text;
-      group.windows.assign(windows.begin() + i, windows.begin() + j);
-      groups->push_back(std::move(group));
-    }
-    i = j;
+/// Per-thread count of the pass-1 lists that contain each text, indexed by
+/// source-local text id. The counts are zero between queries: the
+/// destructor resets exactly the entries this query touched, so a query
+/// costs O(runs) however many texts the source holds. One instance per
+/// thread at a time (a query never nests another).
+class TextListCounter {
+ public:
+  explicit TextListCounter(uint64_t num_texts)
+      : counts_(Counts()), touched_(Touched()) {
+    if (counts_.size() < num_texts) counts_.resize(num_texts, 0);
   }
+  ~TextListCounter() {
+    for (TextId text : touched_) counts_[text] = 0;
+    touched_.clear();
+  }
+  TextListCounter(const TextListCounter&) = delete;
+  TextListCounter& operator=(const TextListCounter&) = delete;
+
+  /// Counts one more list containing `text` (< the constructor's
+  /// num_texts).
+  void Add(TextId text) {
+    if (counts_[text]++ == 0) touched_.push_back(text);
+  }
+
+  /// Texts counted at least `min_lists` times, ascending.
+  std::vector<TextId> AtLeast(uint32_t min_lists) const {
+    std::vector<TextId> out;
+    for (TextId text : touched_) {
+      if (counts_[text] >= min_lists) out.push_back(text);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+ private:
+  static std::vector<uint32_t>& Counts() {
+    thread_local std::vector<uint32_t> counts;
+    return counts;
+  }
+  static std::vector<TextId>& Touched() {
+    thread_local std::vector<TextId> touched;
+    return touched;
+  }
+
+  std::vector<uint32_t>& counts_;
+  std::vector<TextId>& touched_;
+};
+
+/// Counts, for every text of `list`, one more list containing it. A list is
+/// sorted by (text, l), so each text is one run; a text id out of the
+/// source's range or out of order means the list is corrupt (the caller
+/// binary-searches the runs later, and the counter must never be indexed
+/// out of bounds).
+Status CountListTexts(std::span<const PostedWindow> list, uint64_t num_texts,
+                      Token key, TextListCounter* counter) {
+  size_t i = 0;
+  while (i < list.size()) {
+    const TextId text = list[i].text;
+    if (text >= num_texts || (i > 0 && text < list[i - 1].text)) {
+      return Status::Corruption(
+          "pass 1: text id " + std::to_string(text) +
+          (text >= num_texts ? " out of range" : " out of order") +
+          " in list " + std::to_string(key));
+    }
+    counter->Add(text);
+    while (++i < list.size() && list[i].text == text) {
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -705,12 +766,17 @@ Status Searcher::SearchOnce(std::span<const Token> query,
 
   // Pass 1: scan the short lists fully, through the batch cache if one is
   // active (each distinct list is read from disk at most once per batch).
+  // A cached list is read in place, `pinned` keeping its entry alive; a
+  // direct read lands in the query's own buffer for that list.
   Stopwatch io;
-  std::vector<PostedWindow> windows;
-  for (const ListRef& ref : short_lists) {
-    // Per-list checkpoint, plus the arena charge for the windows this list
-    // appends below (exact: cached copy and direct read both append
-    // `count` windows).
+  std::vector<std::span<const PostedWindow>> lists(short_lists.size());
+  std::vector<std::shared_ptr<const void>> pinned;
+  std::vector<std::vector<PostedWindow>> owned(short_lists.size());
+  for (size_t list = 0; list < short_lists.size(); ++list) {
+    const ListRef& ref = short_lists[list];
+    // Per-list checkpoint, plus the arena charge for the list's `count`
+    // windows (a cached list is read in place but charged alike, so the
+    // arena does not depend on cache state).
     NDSS_RETURN_NOT_OK(CheckQueryContext(ctx));
     NDSS_RETURN_NOT_OK(
         arena.Charge(ref.meta->count * sizeof(PostedWindow)));
@@ -757,8 +823,8 @@ Status Searcher::SearchOnce(std::span<const Token> query,
           return entry->status;
         }
       } else if (entry->stored) {
-        windows.insert(windows.end(), entry->windows.begin(),
-                       entry->windows.end());
+        lists[list] = entry->windows;
+        pinned.push_back(entry);
         if (!loaded_here) {
           // The hit belongs to the query that avoided the read; the
           // loader already counted the miss and its io_bytes.
@@ -804,42 +870,79 @@ Status Searcher::SearchOnce(std::span<const Token> query,
           return entry->status;
         }
       } else if (entry->stored) {
-        windows.insert(windows.end(), entry->windows.begin(),
-                       entry->windows.end());
+        lists[list] = entry->windows;
+        pinned.push_back(entry);
         if (!loaded_here) ++result.stats.cache_hits;
         continue;
       }
       // Over budget (or governance-poisoned by another query): fall
       // through to an uncached direct read.
     }
-    Status read = ReadListRetrying(sources[ref.func], *ref.meta, &windows,
+    owned[list].reserve(ref.meta->count);
+    Status read = ReadListRetrying(sources[ref.func], *ref.meta, &owned[list],
                                    &io_bytes, ctx, options.read_retry);
     if (!read.ok()) {
       if (read.IsCorruption()) *failed_func = ref.func;
       return read;
     }
+    lists[list] = owned[list];
+  }
+  uint64_t pass1_windows = 0;
+  for (std::span<const PostedWindow> windows : lists) {
+    pass1_windows += windows.size();
   }
   result.stats.io_seconds += io.ElapsedSeconds();
-  result.stats.windows_scanned += windows.size();
+  result.stats.windows_scanned += pass1_windows;
 
   cpu.Restart();
-  // Grouping copies (at most) every pass-1 window into its text's group.
-  NDSS_RETURN_NOT_OK(arena.Charge(windows.size() * sizeof(PostedWindow)));
-  std::vector<TextGroup> groups;
-  GroupByText(windows, &groups, beta1);
+  // Gathered groups hold at most every pass-1 window.
+  NDSS_RETURN_NOT_OK(arena.Charge(pass1_windows * sizeof(PostedWindow)));
+  // Within one hash function a text's compact windows are pairwise
+  // disjoint, so a sequence collides at most once per list: a text found
+  // in fewer than beta1 short lists cannot reach beta1 collisions and is
+  // dropped without running Algorithm 4.
+  TextListCounter counter(meta_.num_texts);
+  for (size_t list = 0; list < lists.size(); ++list) {
+    const ListRef& ref = short_lists[list];
+    Status count =
+        CountListTexts(lists[list], meta_.num_texts, ref.meta->key, &counter);
+    if (!count.ok()) {
+      *failed_func = ref.func;
+      return count;
+    }
+  }
+  const auto by_text = [](const PostedWindow& a, const PostedWindow& b) {
+    return a.text < b.text;
+  };
   std::vector<MatchRectangle> rects;
   std::vector<TextGroup> candidates;
-  for (TextGroup& group : groups) {
+  TextGroup swept;
+  for (TextId text : counter.AtLeast(beta1)) {
+    // The text's run from each list, stably sorted by l: same-l windows
+    // keep list order, so CollisionCount's input is deterministic.
+    swept.text = text;
+    swept.windows.clear();
+    const PostedWindow probe{text, 0, 0, 0};
+    for (std::span<const PostedWindow> windows : lists) {
+      const auto [lo, hi] =
+          std::equal_range(windows.begin(), windows.end(), probe, by_text);
+      swept.windows.insert(swept.windows.end(), lo, hi);
+    }
+    std::stable_sort(swept.windows.begin(), swept.windows.end(),
+                     [](const PostedWindow& a, const PostedWindow& b) {
+                       return a.l < b.l;
+                     });
+    ++result.stats.groups_swept;
     rects.clear();
-    NDSS_RETURN_NOT_OK(CollisionCount(group.windows, beta1, &rects, ctx));
+    NDSS_RETURN_NOT_OK(CollisionCount(swept.windows, beta1, &rects, ctx));
     if (rects.empty()) continue;
     if (long_lists.empty()) {
       // No second pass: these rectangles are final.
       for (const MatchRectangle& r : rects) {
-        result.rectangles.push_back({group.text, r});
+        result.rectangles.push_back({text, r});
       }
     } else {
-      candidates.push_back(std::move(group));
+      candidates.push_back(swept);
     }
   }
   result.stats.cpu_seconds += cpu.ElapsedSeconds();

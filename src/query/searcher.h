@@ -106,6 +106,8 @@ struct SearchStats {
   uint32_t shared_cache_hits = 0; ///< pass-1 lists served from the
                                   ///< cross-query list cache (no IO)
   uint64_t windows_scanned = 0;   ///< windows fed to CollisionCount
+  uint64_t groups_swept = 0;      ///< texts found in >= beta1 pass-1 lists,
+                                  ///< the ones pass-1 CollisionCount ran on
   uint64_t candidate_texts = 0;   ///< texts surviving pass 1
   uint32_t degraded_funcs = 0;    ///< hash functions dropped for this query
                                   ///< (0 = full-fidelity answer)
@@ -244,6 +246,14 @@ class Searcher {
   /// window method of `options` apply.
   static Result<Searcher> InMemory(const Corpus& corpus,
                                    const IndexBuildOptions& options);
+
+  /// Wraps caller-supplied list sources, one per hash function of `meta`
+  /// (nullptr = that function is missing, searchable only with
+  /// allow_degraded). For storage that is neither an index directory nor
+  /// an in-memory corpus, and for tests that substitute a fake source.
+  static Result<Searcher> FromSources(
+      const IndexMeta& meta,
+      std::vector<std::unique_ptr<InvertedListSource>> sources);
 
   // Defined out of line: the destructor needs the complete DegradedState.
   Searcher(Searcher&&) noexcept;

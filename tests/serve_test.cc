@@ -402,6 +402,57 @@ TEST_F(ServeTest, MalformedRequestsAreLoud400s) {
   EXPECT_EQ(NumberField(*counters, "searches_ok"), 0);
 }
 
+TEST_F(ServeTest, LimitsThatOverflowTheirIntegerTypeAre400s) {
+  // A finite limit whose scaled value does not fit its integer type used to
+  // convert with undefined behaviour: a 1e300 ms deadline landed in the
+  // past (a 504) and a 1e300 MB memory cap became 0 (unlimited).
+  ServeOptions options;
+  options.allow_debug_sleep = true;
+  StartServer(options);
+  const auto queries = MakeQueries(1);
+  const std::string search = SearchBody(queries[0], kTheta);
+  const std::string fields = search.substr(0, search.size() - 1);
+  const auto with = [&](const std::string& field) {
+    return fields + "," + field + "}";
+  };
+  for (const char* field :
+       {R"("deadline_ms":1e300)", R"("deadline_ms":1e16)",
+        R"("memory_mb":1e300)", R"("memory_mb":1.8e13)",
+        R"("debug_sleep_ms":1e300)"}) {
+    HttpResponse response = Post("/v1/search", with(field));
+    EXPECT_EQ(response.status, 400) << field << ": " << response.body;
+  }
+  for (const char* field :
+       {R"("deadline_ms":1e300)", R"("batch_deadline_ms":1e300)",
+        R"("memory_mb":1e300)", R"("inflight_mb":1e300)"}) {
+    HttpResponse response = Post(
+        "/v1/search_batch",
+        R"({"queries":[[1,2,3]],)" + std::string(field) + "}");
+    EXPECT_EQ(response.status, 400) << field << ": " << response.body;
+  }
+
+  // The deadline header gets the same check on both endpoints.
+  for (const char* target : {"/v1/search", "/v1/search_batch"}) {
+    HttpClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+    HttpRequest request;
+    request.method = "POST";
+    request.target = target;
+    request.headers["x-ndss-deadline-ms"] = "1e300";
+    request.body = std::string(target) == "/v1/search"
+                       ? search
+                       : R"({"queries":[[1,2,3]]})";
+    auto response = client.Roundtrip(request);
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response->status, 400) << target << ": " << response->body;
+  }
+
+  // Large limits that do fit still answer.
+  HttpResponse ok = Post(
+      "/v1/search", with(R"("deadline_ms":1e9,"memory_mb":1e6)"));
+  EXPECT_EQ(ok.status, 200) << ok.body;
+}
+
 TEST_F(ServeTest, StatusAndShardsReportTopology) {
   StartServer(ServeOptions{});
   auto status = ParseJson(Get("/v1/status").body);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "corpusgen/zipf.h"
 
 namespace ndss {
 namespace {
@@ -79,6 +80,45 @@ TEST_P(WindowGeneratorTest, EveryLongSequenceInExactlyOneWindow) {
         }
         ASSERT_EQ(containing, 1)
             << config.name << " sequence [" << i << "," << j << "]";
+      }
+    }
+  }
+}
+
+TEST_P(WindowGeneratorTest, WindowsOfOneTextArePairwiseDisjoint) {
+  // The premise of the search's pass-1 list filter: within one (function,
+  // text) pair no sequence T[i, j], of any length, lies in two windows, so
+  // a text collides at most once per inverted list. Window (l, c, r) holds
+  // {(i, j) : l <= i <= c <= j <= r}; two such sets meet iff both their
+  // [l, c] and their [c, r] ranges overlap. Zipf-skewed tokens give the
+  // repeated minima (ties) that natural text has.
+  const GenConfig config = GetParam();
+  HashFamily family(3, 17);
+  WindowGenerator generator(config.method, config.rmq);
+  for (uint64_t seed = 0; seed < 6; ++seed) {
+    for (uint32_t vocab : {4u, 64u, 4096u}) {
+      const ZipfSampler zipf(vocab, 1.0);
+      Rng rng(seed * 7 + vocab);
+      std::vector<Token> text(150 + 40 * seed);
+      for (Token& token : text) token = static_cast<Token>(zipf.Sample(rng));
+      for (uint32_t t : {1u, 3u, 16u}) {
+        for (uint32_t func = 0; func < family.k(); ++func) {
+          std::vector<CompactWindow> windows;
+          generator.Generate(family, func, text, t, &windows);
+          for (size_t a = 0; a < windows.size(); ++a) {
+            for (size_t b = a + 1; b < windows.size(); ++b) {
+              const CompactWindow& x = windows[a];
+              const CompactWindow& y = windows[b];
+              const bool starts_overlap = x.l <= y.c && y.l <= x.c;
+              const bool ends_overlap = x.c <= y.r && y.c <= x.r;
+              ASSERT_FALSE(starts_overlap && ends_overlap)
+                  << config.name << " seed=" << seed << " vocab=" << vocab
+                  << " t=" << t << " func=" << func << ": (" << x.l << ","
+                  << x.c << "," << x.r << ") meets (" << y.l << "," << y.c
+                  << "," << y.r << ")";
+            }
+          }
+        }
       }
     }
   }
