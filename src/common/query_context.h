@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <string>
 
 #include "common/status.h"
 
@@ -171,6 +172,33 @@ class ScopedMemoryCharge {
   const QueryContext* ctx_;
   uint64_t charged_ = 0;
 };
+
+/// Largest deadline or sleep a caller may ask for, in microseconds: half
+/// the clock's nanosecond range (~146 years), so adding it to any
+/// steady_clock reading cannot overflow.
+inline constexpr int64_t kMaxLimitMicros =
+    std::chrono::duration_cast<std::chrono::microseconds>(
+        QueryContext::Clock::duration::max())
+        .count() /
+    2;
+
+/// Scales a limit (a deadline in ms, a budget in MB) into whole units of
+/// its integer type. A double past the integer's range converts with
+/// undefined behaviour (a 1e300 ms deadline became INT64_MIN microseconds:
+/// already expired), so negative, NaN and out-of-range values are an
+/// InvalidArgument.
+template <typename T>
+Status ScaleLimit(const std::string& name, double value, double scale, T max,
+                  T* out) {
+  const double scaled = value * scale;
+  if (!(scaled >= 0 && scaled < static_cast<double>(max))) {
+    return Status::InvalidArgument(
+        name + " must be in [0, " +
+        std::to_string(static_cast<uint64_t>(max / scale)) + "]");
+  }
+  *out = static_cast<T>(scaled);
+  return Status::OK();
+}
 
 }  // namespace ndss
 

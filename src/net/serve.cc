@@ -43,34 +43,8 @@ Status GetNumber(const JsonValue& object, const std::string& key,
   return Status::OK();
 }
 
-/// Largest deadline or sleep a request may ask for, in microseconds: half
-/// the clock's nanosecond range (~146 years), so adding it to any
-/// steady_clock reading cannot overflow.
-constexpr int64_t kMaxLimitMicros =
-    std::chrono::duration_cast<std::chrono::microseconds>(
-        QueryContext::Clock::duration::max())
-        .count() /
-    2;
-
 constexpr uint64_t kMaxBytes = std::numeric_limits<uint64_t>::max();
 constexpr double kMiB = 1 << 20;
-
-/// Scales a limit field into whole units of its integer type. A double past
-/// the integer's range converts with undefined behaviour (a 1e300 ms
-/// deadline became INT64_MIN microseconds: already expired), so negative,
-/// NaN and out-of-range values are an InvalidArgument.
-template <typename T>
-Status ScaleLimit(const std::string& name, double value, double scale, T max,
-                  T* out) {
-  const double scaled = value * scale;
-  if (!(scaled >= 0 && scaled < static_cast<double>(max))) {
-    return Status::InvalidArgument(
-        name + " must be in [0, " +
-        std::to_string(static_cast<uint64_t>(max / scale)) + "]");
-  }
-  *out = static_cast<T>(scaled);
-  return Status::OK();
-}
 
 Status GetBoolField(const JsonValue& object, const std::string& key,
                     bool* out) {
@@ -159,6 +133,7 @@ JsonValue SearchStatsToJson(const SearchStats& stats) {
   v.Set("shared_cache_hits",
         JsonValue::Number(static_cast<uint64_t>(stats.shared_cache_hits)));
   v.Set("windows_scanned", JsonValue::Number(stats.windows_scanned));
+  v.Set("pass1_candidates", JsonValue::Number(stats.pass1_candidates));
   v.Set("groups_swept", JsonValue::Number(stats.groups_swept));
   v.Set("candidate_texts", JsonValue::Number(stats.candidate_texts));
   v.Set("degraded_funcs",

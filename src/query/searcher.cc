@@ -255,63 +255,13 @@ struct TextGroup {
   std::vector<PostedWindow> windows;
 };
 
-/// Per-thread count of the pass-1 lists that contain each text, indexed by
-/// source-local text id. The counts are zero between queries: the
-/// destructor resets exactly the entries this query touched, so a query
-/// costs O(runs) however many texts the source holds. One instance per
-/// thread at a time (a query never nests another).
-class TextListCounter {
- public:
-  explicit TextListCounter(uint64_t num_texts)
-      : counts_(Counts()), touched_(Touched()) {
-    if (counts_.size() < num_texts) counts_.resize(num_texts, 0);
-  }
-  ~TextListCounter() {
-    for (TextId text : touched_) counts_[text] = 0;
-    touched_.clear();
-  }
-  TextListCounter(const TextListCounter&) = delete;
-  TextListCounter& operator=(const TextListCounter&) = delete;
-
-  /// Counts one more list containing `text` (< the constructor's
-  /// num_texts).
-  void Add(TextId text) {
-    if (counts_[text]++ == 0) touched_.push_back(text);
-  }
-
-  /// Texts counted at least `min_lists` times, ascending.
-  std::vector<TextId> AtLeast(uint32_t min_lists) const {
-    std::vector<TextId> out;
-    for (TextId text : touched_) {
-      if (counts_[text] >= min_lists) out.push_back(text);
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-
- private:
-  static std::vector<uint32_t>& Counts() {
-    thread_local std::vector<uint32_t> counts;
-    return counts;
-  }
-  static std::vector<TextId>& Touched() {
-    thread_local std::vector<TextId> touched;
-    return touched;
-  }
-
-  std::vector<uint32_t>& counts_;
-  std::vector<TextId>& touched_;
-};
-
-/// Counts, for every text of `list`, one more list containing it. A list is
-/// sorted by (text, l), so each text is one run; a text id out of the
-/// source's range or out of order means the list is corrupt (the caller
-/// binary-searches the runs later, and the counter must never be indexed
-/// out of bounds).
-Status CountListTexts(std::span<const PostedWindow> list, uint64_t num_texts,
-                      Token key, TextListCounter* counter) {
-  size_t i = 0;
-  while (i < list.size()) {
+/// Checks a pass-1 list as it is loaded, so a cached list is checked once,
+/// not on every hit. The filter binary-searches lists by text, so a text id
+/// out of the source's range or out of (text, l) order means the list is
+/// corrupt.
+Status CheckListTexts(std::span<const PostedWindow> list, uint64_t num_texts,
+                      Token key) {
+  for (size_t i = 0; i < list.size(); ++i) {
     const TextId text = list[i].text;
     if (text >= num_texts || (i > 0 && text < list[i - 1].text)) {
       return Status::Corruption(
@@ -319,11 +269,58 @@ Status CountListTexts(std::span<const PostedWindow> list, uint64_t num_texts,
           (text >= num_texts ? " out of range" : " out of order") +
           " in list " + std::to_string(key));
     }
-    counter->Add(text);
-    while (++i < list.size() && list[i].text == text) {
-    }
   }
   return Status::OK();
+}
+
+/// Texts found in at least `min_lists` of `lists` (each sorted by text),
+/// ascending; `candidates` gets the number of distinct texts the filter
+/// examined. Pigeonhole (T-occurrence) filter: a text in >= min_lists of
+/// the L lists is in at least one of any L - min_lists + 1 of them, so
+/// candidates come from that many shortest lists and are binary-searched
+/// in the rest, shortest first, until they miss more than L - min_lists.
+std::vector<TextId> TextsInAtLeast(
+    const std::vector<std::span<const PostedWindow>>& lists,
+    uint32_t min_lists, uint64_t* candidates) {
+  std::vector<TextId> survivors;
+  *candidates = 0;
+  if (lists.size() < min_lists) return survivors;
+  std::vector<std::span<const PostedWindow>> by_size = lists;
+  std::stable_sort(by_size.begin(), by_size.end(),
+                   [](std::span<const PostedWindow> a,
+                      std::span<const PostedWindow> b) {
+                     return a.size() < b.size();
+                   });
+  const size_t max_misses = lists.size() - min_lists;
+  const size_t prefix = max_misses + 1;
+  std::vector<TextId> texts;
+  for (size_t list = 0; list < prefix; ++list) {
+    for (size_t i = 0; i < by_size[list].size(); ++i) {
+      if (i == 0 || by_size[list][i].text != by_size[list][i - 1].text) {
+        texts.push_back(by_size[list][i].text);
+      }
+    }
+  }
+  std::sort(texts.begin(), texts.end());
+  const auto by_text = [](const PostedWindow& w, TextId text) {
+    return w.text < text;
+  };
+  size_t i = 0;
+  while (i < texts.size()) {
+    const TextId text = texts[i];
+    size_t hits = 0;
+    for (; i < texts.size() && texts[i] == text; ++i) ++hits;
+    ++*candidates;
+    size_t misses = prefix - hits;
+    for (size_t list = prefix; list < by_size.size() && misses <= max_misses;
+         ++list) {
+      const auto it = std::lower_bound(by_size[list].begin(),
+                                       by_size[list].end(), text, by_text);
+      if (it == by_size[list].end() || it->text != text) ++misses;
+    }
+    if (misses <= max_misses) survivors.push_back(text);
+  }
+  return survivors;
 }
 
 }  // namespace
@@ -796,6 +793,10 @@ Status Searcher::SearchOnce(std::span<const Token> query,
         entry->status = ReadListRetrying(sources[ref.func], *ref.meta,
                                          &entry->windows, &io_bytes, ctx,
                                          options.read_retry);
+        if (entry->status.ok()) {
+          entry->status = CheckListTexts(entry->windows, meta_.num_texts,
+                                         ref.meta->key);
+        }
         if (!entry->status.ok()) return;
         entry->bytes = entry->windows.size() * sizeof(PostedWindow) +
                        CrossQueryListCache::kEntryOverhead;
@@ -846,6 +847,10 @@ Status Searcher::SearchOnce(std::span<const Token> query,
         entry->status = ReadListRetrying(sources[ref.func], *ref.meta,
                                          &entry->windows, &io_bytes, ctx,
                                          options.read_retry);
+        if (entry->status.ok()) {
+          entry->status = CheckListTexts(entry->windows, meta_.num_texts,
+                                         ref.meta->key);
+        }
         if (!entry->status.ok()) {
           cache->Unreserve(list_bytes);
           return;
@@ -881,6 +886,9 @@ Status Searcher::SearchOnce(std::span<const Token> query,
     owned[list].reserve(ref.meta->count);
     Status read = ReadListRetrying(sources[ref.func], *ref.meta, &owned[list],
                                    &io_bytes, ctx, options.read_retry);
+    if (read.ok()) {
+      read = CheckListTexts(owned[list], meta_.num_texts, ref.meta->key);
+    }
     if (!read.ok()) {
       if (read.IsCorruption()) *failed_func = ref.func;
       return read;
@@ -901,23 +909,15 @@ Status Searcher::SearchOnce(std::span<const Token> query,
   // disjoint, so a sequence collides at most once per list: a text found
   // in fewer than beta1 short lists cannot reach beta1 collisions and is
   // dropped without running Algorithm 4.
-  TextListCounter counter(meta_.num_texts);
-  for (size_t list = 0; list < lists.size(); ++list) {
-    const ListRef& ref = short_lists[list];
-    Status count =
-        CountListTexts(lists[list], meta_.num_texts, ref.meta->key, &counter);
-    if (!count.ok()) {
-      *failed_func = ref.func;
-      return count;
-    }
-  }
+  const std::vector<TextId> survivors =
+      TextsInAtLeast(lists, beta1, &result.stats.pass1_candidates);
   const auto by_text = [](const PostedWindow& a, const PostedWindow& b) {
     return a.text < b.text;
   };
   std::vector<MatchRectangle> rects;
   std::vector<TextGroup> candidates;
   TextGroup swept;
-  for (TextId text : counter.AtLeast(beta1)) {
+  for (TextId text : survivors) {
     // The text's run from each list, stably sorted by l: same-l windows
     // keep list order, so CollisionCount's input is deterministic.
     swept.text = text;

@@ -106,6 +106,9 @@ struct SearchStats {
   uint32_t shared_cache_hits = 0; ///< pass-1 lists served from the
                                   ///< cross-query list cache (no IO)
   uint64_t windows_scanned = 0;   ///< windows fed to CollisionCount
+  uint64_t pass1_candidates = 0;  ///< distinct texts named by the
+                                  ///< L - beta1 + 1 shortest pass-1 lists,
+                                  ///< the ones the pass-1 filter examined
   uint64_t groups_swept = 0;      ///< texts found in >= beta1 pass-1 lists,
                                   ///< the ones pass-1 CollisionCount ran on
   uint64_t candidate_texts = 0;   ///< texts surviving pass 1

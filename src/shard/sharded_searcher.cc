@@ -47,6 +47,7 @@ void AccumulateStats(const SearchStats& in, SearchStats* out) {
   out->cache_hits += in.cache_hits;
   out->shared_cache_hits += in.shared_cache_hits;
   out->windows_scanned += in.windows_scanned;
+  out->pass1_candidates += in.pass1_candidates;
   out->groups_swept += in.groups_swept;
   out->candidate_texts += in.candidate_texts;
   out->degraded_funcs = std::max(out->degraded_funcs, in.degraded_funcs);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <memory>
@@ -20,6 +21,7 @@
 #include "hash/hash_family.h"
 #include "index/index_builder.h"
 #include "index/memory_index.h"
+#include "query/collision_count.h"
 #include "query/list_cache.h"
 #include "query/searcher.h"
 
@@ -371,6 +373,381 @@ TEST_F(Pass1FilterTest, FromSourcesValidatesItsArguments) {
   EXPECT_TRUE(Searcher::FromSources(meta, std::move(none))
                   .status()
                   .IsInvalidArgument());
+}
+
+/// Serves one fixed list per hash function whatever key the query's
+/// sketch asks for, so a test chooses the exact pass-1 list set. An empty
+/// list stands for a key the index does not hold.
+class FixedListSource : public InvertedListSource {
+ public:
+  explicit FixedListSource(std::vector<PostedWindow> list)
+      : list_(std::move(list)) {
+    if (!list_.empty()) directory_.push_back({0, list_.size()});
+  }
+
+  using InvertedListSource::ReadList;
+  using InvertedListSource::ReadWindowsForText;
+
+  const ListMeta* FindList(Token) const override {
+    return directory_.empty() ? nullptr : &directory_[0];
+  }
+  Status ReadList(const ListMeta&, std::vector<PostedWindow>* out, uint64_t*,
+                  const QueryContext*) override {
+    out->insert(out->end(), list_.begin(), list_.end());
+    return Status::OK();
+  }
+  Status ReadWindowsForText(const ListMeta&, TextId text,
+                            std::vector<PostedWindow>* out, uint64_t*,
+                            const QueryContext*) override {
+    for (const PostedWindow& w : list_) {
+      if (w.text == text) out->push_back(w);
+    }
+    return Status::OK();
+  }
+  const std::vector<ListMeta>& directory() const override {
+    return directory_;
+  }
+  uint64_t bytes_read() const override { return 0; }
+
+ private:
+  std::vector<PostedWindow> list_;
+  std::vector<ListMeta> directory_;
+};
+
+constexpr uint32_t kListTexts = 30;
+constexpr uint32_t kListTextLength = 40;
+
+Result<Searcher> FixedListSearcher(
+    const std::vector<std::vector<PostedWindow>>& lists) {
+  IndexMeta meta;
+  meta.k = static_cast<uint32_t>(lists.size());
+  meta.t = 1;
+  meta.num_texts = kListTexts;
+  std::vector<std::unique_ptr<InvertedListSource>> sources;
+  for (const std::vector<PostedWindow>& list : lists) {
+    sources.push_back(std::make_unique<FixedListSource>(list));
+  }
+  return Searcher::FromSources(meta, std::move(sources));
+}
+
+/// Appends 1-2 pairwise disjoint windows of `text` to `list`, as one hash
+/// function's compact windows of a text are.
+void AddWindows(TextId text, Rng* rng, std::vector<PostedWindow>* list) {
+  uint32_t l = static_cast<uint32_t>(rng->Uniform(12));
+  const uint64_t windows = 1 + rng->Uniform(2);
+  for (uint64_t i = 0; i < windows && l < kListTextLength; ++i) {
+    const uint32_t r = std::min<uint32_t>(
+        kListTextLength - 1, l + 4 + static_cast<uint32_t>(rng->Uniform(14)));
+    const uint32_t c = l + static_cast<uint32_t>(rng->Uniform(r - l + 1));
+    list->push_back({text, l, c, r});
+    l = r + 1 + static_cast<uint32_t>(rng->Uniform(4));
+  }
+}
+
+/// A seeded random list per function: each text joins with probability
+/// `density`, except that texts below `everywhere` join every list with
+/// one shared window.
+std::vector<std::vector<PostedWindow>> RandomLists(uint32_t k, double density,
+                                                   uint32_t everywhere,
+                                                   uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<PostedWindow>> lists(k);
+  for (std::vector<PostedWindow>& list : lists) {
+    for (TextId text = 0; text < kListTexts; ++text) {
+      if (text < everywhere) {
+        list.push_back({text, 5, 10, 15});
+      } else if (rng.NextBool(density)) {
+        AddWindows(text, &rng, &list);
+      }
+    }
+  }
+  return lists;
+}
+
+/// The unfiltered pass 1: every text's windows from the non-empty lists,
+/// gathered in list order, stably sorted by l and swept at `beta`.
+std::vector<TextMatchRectangle> SweepEveryText(
+    const std::vector<std::vector<PostedWindow>>& lists, uint32_t beta) {
+  std::vector<TextMatchRectangle> out;
+  for (TextId text = 0; text < kListTexts; ++text) {
+    std::vector<PostedWindow> windows;
+    for (const std::vector<PostedWindow>& list : lists) {
+      for (const PostedWindow& w : list) {
+        if (w.text == text) windows.push_back(w);
+      }
+    }
+    std::stable_sort(windows.begin(), windows.end(),
+                     [](const PostedWindow& a, const PostedWindow& b) {
+                       return a.l < b.l;
+                     });
+    std::vector<MatchRectangle> rects;
+    EXPECT_TRUE(CollisionCount(windows, beta, &rects).ok());
+    for (const MatchRectangle& r : rects) out.push_back({text, r});
+  }
+  return out;
+}
+
+/// Texts found in at least `min_lists` of `lists`, by a dense count.
+uint64_t CountTextsInAtLeast(
+    const std::vector<std::vector<PostedWindow>>& lists, uint32_t min_lists) {
+  std::vector<uint32_t> count(kListTexts, 0);
+  for (const std::vector<PostedWindow>& list : lists) {
+    std::set<TextId> texts;
+    for (const PostedWindow& w : list) texts.insert(w.text);
+    for (TextId text : texts) ++count[text];
+  }
+  return std::count_if(count.begin(), count.end(),
+                       [&](uint32_t c) { return c >= min_lists; });
+}
+
+/// Distinct texts of the L - beta + 1 shortest non-empty lists (ties in
+/// list order), or 0 when fewer than beta lists are non-empty.
+uint64_t PrefixTexts(const std::vector<std::vector<PostedWindow>>& lists,
+                     uint32_t beta) {
+  std::vector<const std::vector<PostedWindow>*> present;
+  for (const std::vector<PostedWindow>& list : lists) {
+    if (!list.empty()) present.push_back(&list);
+  }
+  if (present.size() < beta) return 0;
+  std::stable_sort(present.begin(), present.end(),
+                   [](const auto* a, const auto* b) {
+                     return a->size() < b->size();
+                   });
+  std::set<TextId> texts;
+  for (size_t i = 0; i < present.size() - beta + 1; ++i) {
+    for (const PostedWindow& w : *present[i]) texts.insert(w.text);
+  }
+  return texts.size();
+}
+
+std::vector<RectKey> RectKeys(const std::vector<TextMatchRectangle>& rects) {
+  std::vector<RectKey> keys;
+  for (const TextMatchRectangle& tr : rects) {
+    keys.emplace_back(tr.text, tr.rect.x_begin, tr.rect.x_end,
+                      tr.rect.y_begin, tr.rect.y_end, tr.rect.collisions);
+  }
+  return keys;
+}
+
+/// Searches `lists` with prefix filtering off (every non-empty list is a
+/// pass-1 list, beta1 = beta) and checks the answer and the filter's
+/// counters against the unfiltered sweep and dense counts. Returns the
+/// search result.
+SearchResult ExpectFilterIsExact(
+    const std::vector<std::vector<PostedWindow>>& lists, double theta) {
+  auto searcher = FixedListSearcher(lists);
+  EXPECT_TRUE(searcher.ok()) << searcher.status().ToString();
+  if (!searcher.ok()) return {};
+  SearchOptions options;
+  options.theta = theta;
+  options.use_prefix_filter = false;
+  options.merge_matches = false;
+  const uint32_t beta = static_cast<uint32_t>(
+      std::ceil(theta * static_cast<double>(lists.size())));
+  const std::vector<Token> query = {1, 2, 3, 4, 5, 6, 7, 8};
+  auto result = searcher->Search(query, options);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (!result.ok()) return {};
+  const std::vector<TextMatchRectangle> expected = SweepEveryText(lists, beta);
+  EXPECT_EQ(RectKeys(result->rectangles), RectKeys(expected));
+  EXPECT_EQ(result->stats.groups_swept, CountTextsInAtLeast(lists, beta));
+  EXPECT_EQ(result->stats.pass1_candidates, PrefixTexts(lists, beta));
+  EXPECT_LE(result->stats.groups_swept, result->stats.pass1_candidates);
+  return std::move(*result);
+}
+
+TEST_F(Pass1FilterTest, RandomListSetsAtTheEdgesMatchAnUnfilteredSweep) {
+  constexpr uint32_t kLists = 8;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    std::vector<std::vector<PostedWindow>> lists =
+        RandomLists(kLists, 0.4, 3, seed);
+    // beta1 = 1: every list is a prefix list; no binary search.
+    EXPECT_FALSE(ExpectFilterIsExact(lists, 0.1).rectangles.empty())
+        << "beta1 = 1";
+    // Mid thresholds: a prefix of 2-5 lists and binary searches.
+    for (double theta : {0.5, 0.625, 0.875}) {
+      ExpectFilterIsExact(lists, theta);
+    }
+    // L = beta1: one prefix list, every other list binary-searched.
+    EXPECT_FALSE(ExpectFilterIsExact(lists, 1.0).rectangles.empty())
+        << "L = beta1";
+
+    // L < beta1: with three keys absent no text can reach beta1.
+    std::vector<std::vector<PostedWindow>> sparse = lists;
+    for (size_t i = 0; i < 3; ++i) sparse[i * 3].clear();
+    EXPECT_EQ(ExpectFilterIsExact(sparse, 0.75).stats.groups_swept, 0u)
+        << "L < beta1";
+    ExpectFilterIsExact(sparse, 0.5);
+
+    // Equal-size lists: the size order is the list order.
+    std::vector<std::vector<PostedWindow>> equal(kLists);
+    Rng rng(seed);
+    for (std::vector<PostedWindow>& list : equal) {
+      for (TextId text = 0; text < kListTexts; text += 3) {
+        list.push_back({text + static_cast<TextId>(rng.Uniform(3)),
+                        static_cast<uint32_t>(rng.Uniform(10)), 12, 20});
+      }
+    }
+    for (double theta : {0.25, 0.5, 0.75, 1.0}) {
+      ExpectFilterIsExact(equal, theta);
+    }
+  }
+}
+
+TEST_F(Pass1FilterTest, SurvivorOnlyInTheLongestListsIsFound) {
+  // Lists of strictly increasing size; text 0 sits only in the beta
+  // longest ones, with one shared window. The L - beta + 1 shortest lists
+  // hold one of them, so text 0 enters through the last prefix list and is
+  // found by binary search in the rest.
+  constexpr uint32_t kLists = 8;
+  for (uint32_t beta = 1; beta <= kLists; ++beta) {
+    SCOPED_TRACE(::testing::Message() << "beta " << beta);
+    std::vector<std::vector<PostedWindow>> lists(kLists);
+    for (uint32_t list = 0; list < kLists; ++list) {
+      if (list >= kLists - beta) lists[list].push_back({0, 5, 10, 15});
+      // `list` filler texts found in this list only, so the sizes differ.
+      for (uint32_t i = 0; i < list; ++i) {
+        lists[list].push_back({1 + list * (list - 1) / 2 + i, 0, 1, 2});
+      }
+    }
+    const SearchResult result =
+        ExpectFilterIsExact(lists, static_cast<double>(beta) / kLists);
+    ASSERT_FALSE(result.rectangles.empty());
+    EXPECT_EQ(result.rectangles[0].text, 0u);
+  }
+}
+
+/// A list sorted like a real one, then corrupted at its end: a text id the
+/// index does not hold, or one smaller than the text before it.
+std::vector<PostedWindow> CorruptList(std::vector<PostedWindow> list,
+                                      bool out_of_range) {
+  list.push_back({out_of_range ? kListTexts : list.back().text - 1, 0, 1, 2});
+  return list;
+}
+
+TEST_F(Pass1FilterTest, BadTextIdInANonPrefixListIsCorruptionOnEveryPath) {
+  // theta 0.75 over 8 lists: beta1 = 6, so only the 3 shortest lists are
+  // prefix lists. The corrupt list is the longest; a filter that checks
+  // only the lists it walks would never look at its tail.
+  constexpr uint32_t kLists = 8;
+  std::vector<std::vector<PostedWindow>> lists =
+      RandomLists(kLists - 1, 0.3, 4, 17);
+  std::vector<PostedWindow> longest;
+  for (TextId text = 0; text < kListTexts; ++text) {
+    longest.push_back({text, 5, 10, 15});
+  }
+  SearchOptions options;
+  options.theta = 0.75;
+  options.use_prefix_filter = false;
+  options.merge_matches = false;
+  const std::vector<Token> query = {1, 2, 3, 4, 5, 6, 7, 8};
+  // Degraded searches drop the corrupt function: the reference is the
+  // unfiltered sweep of the other seven lists at beta = ceil(0.75 * 7).
+  SearchOptions degraded = options;
+  degraded.allow_degraded = true;
+  const std::vector<RectKey> expected = RectKeys(SweepEveryText(lists, 6));
+  ASSERT_FALSE(expected.empty());
+
+  for (bool out_of_range : {true, false}) {
+    SCOPED_TRACE(::testing::Message() << "out of range " << out_of_range);
+    std::vector<std::vector<PostedWindow>> bad = lists;
+    bad.push_back(CorruptList(longest, out_of_range));
+    for (int path = 0; path < 3; ++path) {
+      SCOPED_TRACE(::testing::Message()
+                   << "path " << (path == 0   ? "direct"
+                                  : path == 1 ? "cross-query cache"
+                                              : "per-batch cache"));
+      // Runs the query once on `searcher` through this path.
+      CrossQueryListCache shared(64 << 20);
+      uint64_t owner = 0;
+      auto run = [&](Searcher& searcher, const SearchOptions& variant,
+                     SearchResult* result) -> Status {
+        if (path == 0) return searcher.Search(query, variant, nullptr, result);
+        if (path == 1) {
+          return searcher.Search(query, variant, nullptr, &shared, ++owner,
+                                 result);
+        }
+        auto batch = searcher.SearchBatch({query, query}, variant,
+                                          BatchLimits{}, 64 << 20, 2);
+        if (!batch.ok()) return batch.status();
+        *result = batch->results[0];
+        return batch->statuses[0];
+      };
+      auto strict = FixedListSearcher(bad);
+      ASSERT_TRUE(strict.ok()) << strict.status().ToString();
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        SearchResult result;
+        const Status status = run(*strict, options, &result);
+        EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+      }
+      EXPECT_EQ(strict->degraded_funcs(), 0u);
+
+      auto tolerant = FixedListSearcher(bad);
+      ASSERT_TRUE(tolerant.ok()) << tolerant.status().ToString();
+      SearchResult result;
+      const Status status = run(*tolerant, degraded, &result);
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      EXPECT_EQ(result.stats.degraded_funcs, 1u);
+      EXPECT_EQ(RectKeys(result.rectangles), expected);
+      EXPECT_EQ(tolerant->degraded_funcs(), 1u);
+    }
+  }
+}
+
+TEST_F(Pass1FilterTest, EdgeThresholdsMatchBruteForce) {
+  // theta 1/8 makes beta1 = 1 (every pass-1 list is a prefix list); theta
+  // 1 makes L = beta1 (one prefix list) and, on queries carrying tokens
+  // outside the vocabulary, L < beta1 (their keys have no list).
+  const Corpus corpus = RepeatedTokenCorpus(11);
+  const IndexBuildOptions build = Build();
+  ASSERT_TRUE(BuildIndexInMemory(corpus, dir_, build).ok());
+  auto disk = Searcher::Open(dir_);
+  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+  std::vector<std::vector<Token>> queries = Queries(corpus, 13);
+  for (size_t q = 0; q < 4; ++q) {
+    std::vector<Token> query = queries[q];
+    for (Token extra = 0; extra < 6; ++extra) {
+      query.push_back(kVocab + 100 + extra);
+    }
+    queries.push_back(std::move(query));
+  }
+  CrossQueryListCache shared(64 << 20);
+  uint64_t owner = 0;
+  bool fewer_lists_than_beta = false;
+  bool one_prefix_list = false;
+  for (double theta : {0.125, 1.0}) {
+    SearchOptions options;
+    options.theta = theta;
+    options.use_prefix_filter = false;
+    auto batch = disk->SearchBatch(queries, options, 64 << 20, 2);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    for (size_t q = 0; q < queries.size(); ++q) {
+      SCOPED_TRACE(::testing::Message() << "query " << q << " theta "
+                                        << theta);
+      const std::set<SequenceKey> expected =
+          BruteForce(corpus, kK, queries[q], theta);
+      auto direct = disk->Search(queries[q], options);
+      ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+      EXPECT_EQ(ExpandRectangles(direct->rectangles), expected);
+      SearchResult cached;
+      ASSERT_TRUE(disk->Search(queries[q], options, nullptr, &shared, ++owner,
+                               &cached)
+                      .ok());
+      EXPECT_EQ(Answer(cached), Answer(*direct));
+      EXPECT_EQ(Answer((*batch)[q]), Answer(*direct));
+      const uint32_t lists = direct->stats.short_lists;
+      const uint32_t beta = static_cast<uint32_t>(std::ceil(theta * kK));
+      if (lists < beta) {
+        fewer_lists_than_beta = true;
+        EXPECT_TRUE(expected.empty());
+        EXPECT_EQ(direct->stats.pass1_candidates, 0u);
+      }
+      if (lists == beta) one_prefix_list = true;
+    }
+  }
+  EXPECT_TRUE(fewer_lists_than_beta);
+  EXPECT_TRUE(one_prefix_list);
 }
 
 }  // namespace

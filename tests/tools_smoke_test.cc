@@ -1,9 +1,9 @@
 // Smoke test over the real ndss_* tool binaries (paths injected by CMake
 // via NDSS_TOOLS_BIN_DIR): the corpusgen -> build -> shard -> query
-// pipeline end to end, the serve + load_test pair over a live socket, and
-// the regression suite for the silent CLI-parsing bugs — every malformed
-// flag value must exit 1 (usage error), never run with a silently-zero
-// value.
+// pipeline end to end, the serve + load_test pair over a live socket,
+// ingestion through ndss_serve into a C-MinHash set, and the regression
+// suite for the silent CLI-parsing bugs — every malformed flag value must
+// exit 1 (usage error), never run with a silently-zero value.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,9 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "net/http.h"
+#include "net/json.h"
 
 namespace ndss {
 namespace {
@@ -51,7 +54,10 @@ class ToolsSmokeTest : public ::testing::Test {
     ASSERT_TRUE(std::filesystem::create_directories(dir_));
     log_ = dir_ + "/log";
   }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
+  void TearDown() override {
+    StopServe();
+    std::filesystem::remove_all(dir_);
+  }
 
   /// Asserts `command` exits with `expected`, printing the tool log if not.
   void ExpectExit(int expected, const std::string& command) {
@@ -59,8 +65,40 @@ class ToolsSmokeTest : public ::testing::Test {
     EXPECT_EQ(code, expected) << command << "\n" << ReadLog(log_);
   }
 
+  /// Starts ndss_serve in the background with `flags` on an ephemeral port
+  /// and returns the port, or "" if the server never wrote it. TearDown
+  /// stops the server.
+  std::string StartServe(const std::string& flags) {
+    const std::string port_file = dir_ + "/port";
+    const std::string pid_file = dir_ + "/pid";
+    if (std::system((Tool("ndss_serve") + " " + flags + " --port=0" +
+                     " --port-file=" + port_file + " --serve-seconds=60 >" +
+                     dir_ + "/serve.log 2>&1 & echo $! > " + pid_file)
+                        .c_str()) != 0) {
+      return "";
+    }
+    pid_ = ReadLog(pid_file);
+    if (!pid_.empty() && pid_.back() == '\n') pid_.pop_back();
+    std::string port;
+    for (int i = 0; i < 200 && port.empty(); ++i) {
+      std::ifstream in(port_file);
+      std::getline(in, port);
+      if (port.empty()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      }
+    }
+    return port;
+  }
+
+  void StopServe() {
+    if (pid_.empty()) return;
+    (void)std::system(("kill " + pid_ + " 2>/dev/null").c_str());
+    pid_.clear();
+  }
+
   std::string dir_;
   std::string log_;
+  std::string pid_;
 };
 
 TEST_F(ToolsSmokeTest, PipelineAndServeEndToEnd) {
@@ -86,32 +124,13 @@ TEST_F(ToolsSmokeTest, PipelineAndServeEndToEnd) {
   // Serve the set on an ephemeral port and drive it with the load-test
   // client, equivalence gate on: answers over HTTP must be bit-identical
   // to the direct ShardedSearcher.
-  const std::string port_file = dir_ + "/port";
-  const std::string pid_file = dir_ + "/pid";
-  ASSERT_EQ(std::system((Tool("ndss_serve") + " --set=" + dir_ +
-                         "/set --port-file=" + port_file +
-                         " --serve-seconds=60 --quiet >" + dir_ +
-                         "/serve.log 2>&1 & echo $! > " + pid_file)
-                            .c_str()),
-            0);
-  std::string port;
-  for (int i = 0; i < 200 && port.empty(); ++i) {
-    std::ifstream in(port_file);
-    std::getline(in, port);
-    if (port.empty()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-  }
+  const std::string port = StartServe("--set=" + dir_ + "/set --quiet");
   ASSERT_FALSE(port.empty()) << ReadLog(dir_ + "/serve.log");
 
   ExpectExit(0, Tool("ndss_load_test") + " --port=" + port + " --corpus=" +
                     c1 + " --verify-set=" + dir_ +
                     "/set --requests=20 --concurrency=2 --queries=6"
                     " --len=24 --json");
-
-  std::string pid = ReadLog(pid_file);
-  if (!pid.empty() && pid.back() == '\n') pid.pop_back();
-  (void)std::system(("kill " + pid + " 2>/dev/null").c_str());
 }
 
 TEST_F(ToolsSmokeTest, SketchFlagSelectsSchemeEndToEnd) {
@@ -135,6 +154,50 @@ TEST_F(ToolsSmokeTest, SketchFlagSelectsSchemeEndToEnd) {
   ExpectExit(1, Tool("ndss_build") + " --corpus=" + corpus + " --index=" +
                     dir_ + "/bad --k=4 --t=6 --sketch=simhash");
   EXPECT_NE(ReadLog(log_).find("sketch"), std::string::npos) << ReadLog(log_);
+}
+
+TEST_F(ToolsSmokeTest, ServeIngestsIntoCMinHashSet) {
+  // ndss_serve --ingest must open the write path with the set's own sketch
+  // scheme; the ingester refuses options that disagree with the set.
+  const std::string set = dir_ + "/stream";
+  ExpectExit(0, Tool("ndss_ingest") + " --create --set=" + set +
+                    " --k=4 --t=6 --sketch=cminhash");
+  const std::string port = StartServe("--set=" + set + " --ingest");
+  ASSERT_FALSE(port.empty()) << ReadLog(dir_ + "/serve.log");
+
+  net::HttpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1",
+                             static_cast<uint16_t>(std::stoi(port)))
+                  .ok());
+  int health = 0;
+  for (int i = 0; i < 200 && health != 200; ++i) {
+    auto response = client.Get("/v1/healthz");
+    ASSERT_TRUE(response.ok()) << ReadLog(dir_ + "/serve.log");
+    health = response->status;
+    if (health != 200) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+  }
+  ASSERT_EQ(health, 200) << ReadLog(dir_ + "/serve.log");
+
+  std::string tokens;
+  for (int i = 0; i < 40; ++i) {
+    tokens += (i > 0 ? "," : "") + std::to_string(1000 + 7 * i);
+  }
+  auto ingested =
+      client.Post("/v1/ingest", "{\"documents\": [[" + tokens + "]]}");
+  ASSERT_TRUE(ingested.ok());
+  ASSERT_EQ(ingested->status, 200) << ingested->body;
+
+  auto searched = client.Post("/v1/search",
+                              "{\"tokens\": [" + tokens + "], \"theta\": 0.8}");
+  ASSERT_TRUE(searched.ok());
+  ASSERT_EQ(searched->status, 200) << searched->body;
+  auto body = net::ParseJson(searched->body);
+  ASSERT_TRUE(body.ok()) << searched->body;
+  const net::JsonValue* spans = body->Find("spans");
+  ASSERT_NE(spans, nullptr) << searched->body;
+  EXPECT_EQ(spans->array().size(), 1u) << searched->body;
 }
 
 TEST_F(ToolsSmokeTest, MalformedTokenListExitsWithUsageError) {
@@ -173,6 +236,18 @@ TEST_F(ToolsSmokeTest, MalformedFlagValuesExitWithUsageError) {
   ExpectExit(1, Tool("ndss_query") + " --index=" + dir_ +
                     "/idx --tokens=1,2 --deadline-ms=abc");
   EXPECT_NE(ReadLog(log_).find("malformed number"), std::string::npos);
+  // Negative limits, and limits whose scaled value does not fit their
+  // integer type, used to convert with undefined behaviour. 1e13 ms fits
+  // int64 microseconds but would overflow when added to the clock.
+  for (const std::string limit :
+       {"--deadline-ms=1e300", "--deadline-ms=1e13", "--deadline-ms=-1",
+        "--batch-deadline-ms=1e300", "--batch-deadline-ms=-0.5",
+        "--query-memory-mb=1e300", "--query-memory-mb=-5"}) {
+    ExpectExit(1, Tool("ndss_query") + " --index=" + dir_ +
+                      "/idx --tokens=1,2 " + limit);
+    EXPECT_NE(ReadLog(log_).find("must be in [0, "), std::string::npos)
+        << limit << ": " << ReadLog(log_);
+  }
   ExpectExit(1, Tool("ndss_query") + " --index=" + dir_ +
                     "/idx --tokens=1,2 --theta=0.8x");
   EXPECT_NE(ReadLog(log_).find("malformed number"), std::string::npos);

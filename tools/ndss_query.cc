@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 #include "common/query_context.h"
@@ -60,26 +61,42 @@ int ExitCodeFor(const ndss::Status& status) {
   return status.ok() ? 0 : 1;
 }
 
-/// Per-query governance from flags; `budget` must outlive the context.
-ndss::QueryContext MakeContext(const ndss::tools::Flags& flags,
-                               ndss::MemoryBudget* budget) {
-  ndss::QueryContext ctx;
-  const double deadline_ms = flags.GetDouble("deadline-ms", 0);
-  if (deadline_ms > 0) {
-    ctx.set_deadline(ndss::QueryContext::Clock::now() +
-                     std::chrono::microseconds(
-                         static_cast<int64_t>(deadline_ms * 1000)));
-  }
-  if (budget->max_bytes() > 0) ctx.set_memory_budget(budget);
-  return ctx;
+/// Reads limit flag `name` scaled into T; a negative or NaN value, or one
+/// whose scaled value does not fit in T, is a usage error.
+template <typename T>
+T LimitFlag(const ndss::tools::Flags& flags, const std::string& name,
+            double scale, T max) {
+  T out = 0;
+  const ndss::Status status = ndss::ScaleLimit(
+      "--" + name, flags.GetDouble(name, 0), scale, max, &out);
+  if (!status.ok()) ndss::tools::Die(status.ToString());
+  return out;
+}
+
+/// Governance limits from flags, scaled once before any query runs. A
+/// single query uses the per-query fields.
+ndss::BatchLimits LimitsFromFlags(const ndss::tools::Flags& flags) {
+  ndss::BatchLimits limits;
+  limits.query_timeout_micros =
+      LimitFlag(flags, "deadline-ms", 1000.0, ndss::kMaxLimitMicros);
+  limits.batch_timeout_micros =
+      LimitFlag(flags, "batch-deadline-ms", 1000.0, ndss::kMaxLimitMicros);
+  limits.max_query_bytes =
+      LimitFlag(flags, "query-memory-mb", static_cast<double>(1 << 20),
+                std::numeric_limits<uint64_t>::max());
+  return limits;
 }
 
 int RunOne(ndss::Searcher& searcher, const std::vector<ndss::Token>& query,
            const ndss::SearchOptions& options,
-           const ndss::tools::Flags& flags, bool verbose) {
-  ndss::MemoryBudget budget(static_cast<uint64_t>(
-      flags.GetDouble("query-memory-mb", 0) * (1 << 20)));
-  const ndss::QueryContext ctx = MakeContext(flags, &budget);
+           const ndss::BatchLimits& limits, bool verbose) {
+  ndss::MemoryBudget budget(limits.max_query_bytes);
+  ndss::QueryContext ctx;
+  if (limits.query_timeout_micros > 0) {
+    ctx.set_deadline(ndss::QueryContext::Clock::now() +
+                     std::chrono::microseconds(limits.query_timeout_micros));
+  }
+  if (budget.max_bytes() > 0) ctx.set_memory_budget(&budget);
   ndss::Stopwatch watch;
   ndss::SearchResult result;
   const ndss::Status status = searcher.Search(query, options, &ctx, &result);
@@ -124,6 +141,7 @@ int main(int argc, char** argv) {
         "[--deadline-ms=D] [--query-memory-mb=M] [--batch-deadline-ms=D] "
         "[--shed-policy=reject-new|cancel-running] [--quiet]");
   }
+  ndss::BatchLimits limits = LimitsFromFlags(flags);
   auto searcher = ndss::Searcher::Open(index_dir);
   if (!searcher.ok()) ndss::tools::Die(searcher.status().ToString());
   std::printf("index: k=%u t=%u sketch=%s texts=%llu tokens=%llu\n",
@@ -145,7 +163,7 @@ int main(int argc, char** argv) {
 
   if (flags.Has("tokens")) {
     return RunOne(*searcher, ParseTokens(flags.GetString("tokens", "")),
-                  options, flags, verbose);
+                  options, limits, verbose);
   }
 
   const std::string corpus_path = flags.GetString("corpus", "");
@@ -183,13 +201,6 @@ int main(int argc, char** argv) {
       }
       queries.push_back(std::move(query));
     }
-    ndss::BatchLimits limits;
-    limits.batch_timeout_micros = static_cast<int64_t>(
-        flags.GetDouble("batch-deadline-ms", 0) * 1000);
-    limits.query_timeout_micros = static_cast<int64_t>(
-        flags.GetDouble("deadline-ms", 0) * 1000);
-    limits.max_query_bytes = static_cast<uint64_t>(
-        flags.GetDouble("query-memory-mb", 0) * (1 << 20));
     const std::string shed = flags.GetString("shed-policy", "cancel-running");
     if (shed == "reject-new") {
       limits.shed_policy = ndss::ShedPolicy::kRejectNew;
@@ -260,5 +271,5 @@ int main(int argc, char** argv) {
       }
     }
   }
-  return RunOne(*searcher, query, options, flags, verbose);
+  return RunOne(*searcher, query, options, limits, verbose);
 }

@@ -151,6 +151,7 @@ int main(int argc, char** argv) {
     ingest_options.build.k = meta.k;
     ingest_options.build.seed = meta.seed;
     ingest_options.build.t = meta.t;
+    ingest_options.build.sketch = meta.sketch;
     ingest_options.memtable_budget_bytes = static_cast<uint64_t>(
         flags.GetDouble("memtable-mb", 8) * (1 << 20));
     ingest_options.enable_compaction = !flags.GetBool("no-compaction", false);
