@@ -7,14 +7,14 @@
 
 #include "bench_util.h"
 #include "common/stopwatch.h"
-#include "hash/hash_family.h"
+#include "sketch/sketch_scheme.h"
 #include "window/window_generator.h"
 
 int main() {
   using namespace ndss;
   const uint32_t base_texts = bench::Scaled(2000);
   SyntheticCorpus sc = bench::MakeBenchCorpus(base_texts, 32000, 1);
-  const HashFamily family(1, 42);
+  const SketchScheme family(SketchSchemeId::kIndependent, 1, 42);
 
   bench::PrintHeader(
       "Ablation: window-generation method (t = 25, k = 1)",

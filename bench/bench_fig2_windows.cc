@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "hash/hash_family.h"
+#include "sketch/sketch_scheme.h"
 #include "tokenizer/bpe_tokenizer.h"
 #include "tokenizer/bpe_trainer.h"
 #include "window/window_generator.h"
@@ -16,7 +16,7 @@ namespace {
 
 uint64_t CountWindows(const Corpus& corpus, uint32_t k, uint32_t t,
                       uint64_t seed = 0x5eed5eed5eed5eedULL) {
-  const HashFamily family(k, seed);
+  const SketchScheme family(SketchSchemeId::kIndependent, k, seed);
   WindowGenerator generator;
   std::vector<CompactWindow> windows;
   uint64_t total = 0;

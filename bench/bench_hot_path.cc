@@ -245,7 +245,7 @@ uint64_t DecodeWholeList(const EncodedList& list, PostedWindow* out,
 }
 
 /// decode_block measures the calibrated dispatch (what queries run);
-/// decode_scalar and decode_simd pin each implementation so the nightly
+/// decode_scalar and decode_word pin each implementation so the nightly
 /// report shows both sides of the runtime choice on that machine. Every
 /// variant is verified bit-identical against the reference first.
 void BenchDecode(bool quick, std::vector<KernelReport>* kernels) {
@@ -269,9 +269,6 @@ void BenchDecode(bool quick, std::vector<KernelReport>* kernels) {
   std::vector<Variant> variants = {{"decode_block", &DecodeWindowRun},
                                    {"decode_scalar", &DecodeWindowRunScalar}};
 #if defined(NDSS_VARINT_SIMD)
-  if (SimdWindowDecodeSupported()) {
-    variants.push_back({"decode_simd", &DecodeWindowRunSimd});
-  }
   if (WordWindowDecodeSupported()) {
     variants.push_back({"decode_word", &DecodeWindowRunWord});
   }

@@ -4,7 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "common/random.h"
-#include "hash/hash_family.h"
+#include "sketch/sketch_scheme.h"
 #include "window/window_generator.h"
 
 namespace ndss {
@@ -19,7 +19,7 @@ std::vector<Token> RandomText(size_t n, uint64_t seed) {
 
 void BM_WindowGenStack(benchmark::State& state) {
   const std::vector<Token> text = RandomText(state.range(0), 1);
-  HashFamily family(1, 7);
+  SketchScheme family(SketchSchemeId::kIndependent, 1, 7);
   WindowGenerator generator(WindowGenMethod::kMonotonicStack);
   std::vector<CompactWindow> windows;
   for (auto _ : state) {
@@ -33,7 +33,7 @@ BENCHMARK(BM_WindowGenStack)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_WindowGenRmq(benchmark::State& state) {
   const std::vector<Token> text = RandomText(10000, 1);
-  HashFamily family(1, 7);
+  SketchScheme family(SketchSchemeId::kIndependent, 1, 7);
   WindowGenerator generator(WindowGenMethod::kRmqDivideConquer,
                             static_cast<RmqKind>(state.range(0)));
   std::vector<CompactWindow> windows;
@@ -51,7 +51,7 @@ BENCHMARK(BM_WindowGenRmq)
 
 void BM_WindowGenByThreshold(benchmark::State& state) {
   const std::vector<Token> text = RandomText(50000, 2);
-  HashFamily family(1, 9);
+  SketchScheme family(SketchSchemeId::kIndependent, 1, 9);
   WindowGenerator generator;
   std::vector<CompactWindow> windows;
   for (auto _ : state) {

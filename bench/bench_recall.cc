@@ -102,7 +102,8 @@ int main() {
     if (!BuildIndexInMemory(small, small_dir, small_build).ok()) return 1;
     auto small_searcher = Searcher::Open(small_dir);
     if (!small_searcher.ok()) return 1;
-    HashFamily family(small_build.k, small_build.seed);
+    SketchScheme family(SketchSchemeId::kIndependent, small_build.k,
+                        small_build.seed);
     Rng qrng(7);
     const auto queries = bench::MakeQueries(small, 10, 48, 0.1, 16000, 3);
     uint32_t agreements = 0;

@@ -2,8 +2,8 @@
 //
 // Gates (run before any timing; a failure exits 1, which the nightly CI
 // step keys on):
-//   1. the kIndependent SketchScheme answers bit-identically to the legacy
-//      HashFamily sketch path;
+//   1. both schemes reproduce the golden hash values and sketches of
+//      sketch/sketch_golden.h (the on-disk format contract);
 //   2. a kIndependent index whose meta is rewritten in the pre-scheme v2
 //      format reopens and answers bit-identically (old indexes stay valid);
 //   3. per scheme, the out-of-core build produces byte-identical inverted
@@ -36,9 +36,9 @@
 #include "common/file_io.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
-#include "hash/hash_family.h"
 #include "index/inverted_index_reader.h"
 #include "index/posting.h"
+#include "sketch/sketch_golden.h"
 #include "sketch/sketch_scheme.h"
 
 namespace ndss {
@@ -112,28 +112,11 @@ std::vector<std::string> Fingerprints(
   return prints;
 }
 
-// ---- gate 1: kIndependent scheme == legacy HashFamily --------------------
+// ---- gate 1: golden vectors ---------------------------------------------
 
-void GateSchemeMatchesHashFamily() {
-  constexpr uint32_t kK = 16;
-  constexpr uint64_t kSeed = 0x5eed5eed5eed5eedULL;
-  const HashFamily family(kK, kSeed);
-  const SketchScheme scheme(SketchSchemeId::kIndependent, kK, kSeed);
-  Rng rng(41);
-  for (int trial = 0; trial < 200; ++trial) {
-    const size_t n = 8 + rng.Uniform(200);
-    std::vector<Token> tokens(n);
-    for (auto& token : tokens) {
-      token = static_cast<Token>(rng.Uniform(32000));
-    }
-    const MinHashSketch legacy = ComputeSketch(family, tokens.data(), n);
-    const MinHashSketch ours = ComputeSketch(scheme, tokens.data(), n);
-    if (legacy.argmin_tokens != ours.argmin_tokens ||
-        legacy.min_hashes != ours.min_hashes) {
-      FailGate("kindependent_bit_identity",
-               "SketchScheme sketch differs from HashFamily sketch");
-    }
-  }
+void GateGoldenVectors() {
+  const std::string mismatch = sketch_golden::CheckGoldenVectors();
+  if (!mismatch.empty()) FailGate("golden_vectors", mismatch);
 }
 
 // ---- gate 2: v2 meta compatibility ---------------------------------------
@@ -463,14 +446,14 @@ int Run(int argc, char** argv) {
 
   bench::PrintHeader(
       "Sketching schemes: k-independent MinHash vs circulant C-MinHash",
-      "equivalence gates run first (legacy bit-identity, v2 meta compat, "
+      "equivalence gates run first (golden vectors, v2 meta compat, "
       "external-vs-in-memory builds); a mismatch aborts with exit 1");
 
   // Small corpus + queries shared by the gates.
   SyntheticCorpus gate_corpus = bench::MakeBenchCorpus(150, 8000, 31);
   const auto gate_queries =
       bench::MakeQueries(gate_corpus.corpus, 12, 48, 0.05, 8000, 32);
-  GateSchemeMatchesHashFamily();
+  GateGoldenVectors();
   GateV2MetaCompat(gate_corpus.corpus, gate_queries);
   GateBuildEquivalence(gate_corpus.corpus, gate_queries);
   std::printf("all equivalence gates passed\n\n");

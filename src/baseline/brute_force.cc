@@ -7,16 +7,14 @@
 
 namespace ndss {
 
-namespace {
-
-/// Shared implementation over anything with k() and Hash(func, token) —
-/// HashFamily or SketchScheme.
-template <typename Hasher>
-std::vector<BaselineMatch> BruteForceApproxSearchImpl(
-    const Corpus& corpus, const Hasher& hasher,
-    const MinHashSketch& query_sketch, double theta, uint32_t t) {
+std::vector<BaselineMatch> BruteForceApproxSearch(
+    const Corpus& corpus, const SketchScheme& scheme,
+    std::span<const Token> query, double theta, uint32_t t) {
   std::vector<BaselineMatch> matches;
-  const uint32_t k = hasher.k();
+  if (query.empty()) return matches;
+  const MinHashSketch query_sketch =
+      ComputeSketch(scheme, query.data(), query.size());
+  const uint32_t k = scheme.k();
   const uint32_t beta =
       std::min<uint32_t>(k, static_cast<uint32_t>(std::ceil(theta * k)));
 
@@ -30,7 +28,7 @@ std::vector<BaselineMatch> BruteForceApproxSearchImpl(
       for (size_t j = i; j < n; ++j) {
         uint32_t collisions = 0;
         for (uint32_t f = 0; f < k; ++f) {
-          const uint64_t h = hasher.Hash(f, text[j]);
+          const uint64_t h = scheme.Hash(f, text[j]);
           if (h < running_min[f]) running_min[f] = h;
           if (running_min[f] == query_sketch.min_hashes[f]) ++collisions;
         }
@@ -43,26 +41,6 @@ std::vector<BaselineMatch> BruteForceApproxSearchImpl(
     }
   }
   return matches;
-}
-
-}  // namespace
-
-std::vector<BaselineMatch> BruteForceApproxSearch(
-    const Corpus& corpus, const HashFamily& family,
-    std::span<const Token> query, double theta, uint32_t t) {
-  if (query.empty()) return {};
-  return BruteForceApproxSearchImpl(
-      corpus, family, ComputeSketch(family, query.data(), query.size()),
-      theta, t);
-}
-
-std::vector<BaselineMatch> BruteForceApproxSearch(
-    const Corpus& corpus, const SketchScheme& scheme,
-    std::span<const Token> query, double theta, uint32_t t) {
-  if (query.empty()) return {};
-  return BruteForceApproxSearchImpl(
-      corpus, scheme, ComputeSketch(scheme, query.data(), query.size()),
-      theta, t);
 }
 
 std::vector<BaselineMatch> BruteForceExactSearch(const Corpus& corpus,

@@ -5,7 +5,6 @@
 #include <span>
 #include <vector>
 
-#include "hash/hash_family.h"
 #include "sketch/sketch_scheme.h"
 #include "text/corpus.h"
 #include "text/types.h"
@@ -29,15 +28,10 @@ struct BaselineMatch {
 /// collisions with the query directly. The index-based search must return
 /// exactly the sequences this returns (Theorem 2: sound and complete); used
 /// as ground truth in tests and the recall experiment. O(N · L · k) per
-/// text of length L — small inputs only.
-std::vector<BaselineMatch> BruteForceApproxSearch(
-    const Corpus& corpus, const HashFamily& family,
-    std::span<const Token> query, double theta, uint32_t t);
-
-/// Same ground truth under a pluggable sketch scheme (for kIndependent the
-/// result is bit-identical to the HashFamily overload). Used to validate
-/// the index-based search for C-MinHash indexes, whose hash functions are
-/// circulant derivations rather than independent mixes.
+/// text of length L — small inputs only. Works under either sketch scheme,
+/// so it also validates the index-based search for C-MinHash indexes,
+/// whose hash functions are circulant derivations rather than independent
+/// mixes.
 std::vector<BaselineMatch> BruteForceApproxSearch(
     const Corpus& corpus, const SketchScheme& scheme,
     std::span<const Token> query, double theta, uint32_t t);

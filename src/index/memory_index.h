@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "hash/hash_family.h"
 #include "index/list_source.h"
 #include "index/posting.h"
 #include "sketch/sketch_scheme.h"
@@ -35,16 +34,6 @@ class InMemoryInvertedIndex : public InvertedListSource {
                         uint32_t func, uint32_t t,
                         WindowGenMethod method = WindowGenMethod::kMonotonicStack,
                         const CorpusBaseRows* base_rows = nullptr);
-
-  /// Legacy entry point: function `func` of a k-independent HashFamily
-  /// (bit-identical to the SketchScheme overload with kIndependent).
-  InMemoryInvertedIndex(const Corpus& corpus, const HashFamily& family,
-                        uint32_t func, uint32_t t,
-                        WindowGenMethod method = WindowGenMethod::kMonotonicStack)
-      : InMemoryInvertedIndex(
-            corpus, SketchScheme(SketchSchemeId::kIndependent, family.k(),
-                                 family.seed()),
-            func, t, method) {}
 
   using InvertedListSource::ReadList;
   using InvertedListSource::ReadWindowsForText;

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 
 #include "common/coding.h"
@@ -22,7 +21,7 @@ inline constexpr size_t kWindowMaxEncodedBytes = 4 * kMaxVarint32Bytes;
 /// the chunk is provably in bounds — one range check per chunk instead of
 /// four per window — using the unrolled GetVarint32Unchecked; the last few
 /// windows near `limit` fall back to the bounds-checked decoder. Kept as
-/// the portable fallback of the SIMD path (varint_simd.h) and as a test
+/// the portable fallback of the word path (varint_simd.h) and as a test
 /// target in its own right.
 inline const char* DecodeWindowRunScalar(const char* p, const char* limit,
                                          uint64_t max_windows,
@@ -82,30 +81,15 @@ namespace varint_internal {
 ///
 /// Which path wins is data- and microarchitecture-dependent: the scalar
 /// chunked decoder rides the branch predictor (fast on streams with steady
-/// varint lengths), the vector decoder is prediction-free (fast on
-/// irregular streams and on cores where the predicted-branch chain stalls),
-/// and the word-at-a-time pext decoder splits the difference (branch-light
-/// extraction, speculative pointer advance). Rather than guess, decode a
-/// small writer-faithful synthetic stream with every candidate the CPU
-/// supports and keep the fastest — the cost is a few hundred microseconds,
-/// paid on the first posting-list read. NDSS_NO_SIMD_DECODE=1 forces the
-/// scalar path; NDSS_SIMD_DECODE=1 / NDSS_WORD_DECODE=1 force the vector /
-/// word path (all skip calibration; unsupported CPUs always get the scalar
-/// path).
+/// varint lengths), and the word-at-a-time pext decoder trades it for
+/// branch-light extraction and a speculative pointer advance (pext is a
+/// single cycle on some cores and microcoded on others). Rather than guess,
+/// decode a small writer-faithful synthetic stream with both and keep the
+/// faster — the cost is a few hundred microseconds, paid on the first
+/// posting-list read. CPUs without BMI2 always get the scalar path.
 inline WindowDecodeFn ChooseWindowDecode() {
 #if defined(NDSS_VARINT_SIMD)
-  const bool simd_ok = SimdWindowDecodeSupported();
-  const bool word_ok = WordWindowDecodeSupported();
-  if ((!simd_ok && !word_ok) ||
-      std::getenv("NDSS_NO_SIMD_DECODE") != nullptr) {
-    return &DecodeWindowRunScalar;
-  }
-  if (std::getenv("NDSS_SIMD_DECODE") != nullptr && simd_ok) {
-    return &DecodeWindowRunSimd;
-  }
-  if (std::getenv("NDSS_WORD_DECODE") != nullptr && word_ok) {
-    return &DecodeWindowRunWord;
-  }
+  if (!WordWindowDecodeSupported()) return &DecodeWindowRunScalar;
   // Calibration stream: runs of 64 windows with posting-like magnitudes
   // (small text deltas, multi-byte l, small interval deltas), mirroring
   // what MakeEncodedList in bench_hot_path generates.
@@ -151,23 +135,13 @@ inline WindowDecodeFn ChooseWindowDecode() {
     }
     return best;
   };
-  // Warm every candidate (instruction fetch, lookup tables), then race
-  // them and keep the fastest.
-  WindowDecodeFn candidates[3] = {&DecodeWindowRunScalar, nullptr, nullptr};
-  size_t num_candidates = 1;
-  if (simd_ok) candidates[num_candidates++] = &DecodeWindowRunSimd;
-  if (word_ok) candidates[num_candidates++] = &DecodeWindowRunWord;
-  for (size_t i = 0; i < num_candidates; ++i) decode_all(candidates[i]);
-  WindowDecodeFn best_fn = candidates[0];
-  double best_s = best_of(candidates[0]);
-  for (size_t i = 1; i < num_candidates; ++i) {
-    const double s = best_of(candidates[i]);
-    if (s < best_s) {
-      best_s = s;
-      best_fn = candidates[i];
-    }
-  }
-  return best_fn;
+  // Warm both candidates (instruction fetch, lookup tables), then race
+  // them and keep the faster.
+  decode_all(&DecodeWindowRunScalar);
+  decode_all(&DecodeWindowRunWord);
+  const double scalar_s = best_of(&DecodeWindowRunScalar);
+  const double word_s = best_of(&DecodeWindowRunWord);
+  return word_s < scalar_s ? &DecodeWindowRunWord : &DecodeWindowRunScalar;
 #else
   return &DecodeWindowRunScalar;
 #endif
@@ -184,9 +158,7 @@ inline WindowDecodeFn ActiveWindowDecode() {
 /// Name of the dispatched path, for bench reports and status endpoints.
 inline const char* WindowDecodePathName() {
 #if defined(NDSS_VARINT_SIMD)
-  if (ActiveWindowDecode() == &DecodeWindowRunSimd) return "simd";
-  if (ActiveWindowDecode() == &DecodeWindowRunWord) return "word";
-  return "scalar";
+  return ActiveWindowDecode() == &DecodeWindowRunWord ? "word" : "scalar";
 #else
   return "scalar";
 #endif
@@ -197,10 +169,10 @@ inline const char* WindowDecodePathName() {
 /// the run carries an absolute text id (a restart point); later windows
 /// delta-encode it. Per-window fields are (text field, l, c - l, r - c).
 ///
-/// Dispatches to the AVX2 mask decoder (varint_simd.h) or the scalar
-/// chunked decoder above — a runtime CPU check plus a one-time calibration
-/// race (see ChooseWindowDecode), overridable with NDSS_NO_SIMD_DECODE /
-/// NDSS_SIMD_DECODE. Both paths are bit-identical to the
+/// Dispatches to the word-at-a-time pext decoder (varint_simd.h) or the
+/// scalar chunked decoder above — a runtime CPU check plus a one-time
+/// calibration race (see ChooseWindowDecode). Both paths are bit-identical
+/// to the
 /// one-varint-at-a-time reference (reference::DecodeWindowRun): sets
 /// `*decoded` to the number of complete windows and returns the position
 /// after the last one (which is `limit` when the buffer runs out exactly at

@@ -7,36 +7,24 @@
 #include "common/coding.h"
 #include "index/posting.h"
 
-/// SIMD posting-window decoder (see DecodeWindowRun in varint_block.h for
-/// the format). The scalar decoder walks one varint at a time, so every
-/// varint's length gates the address of the next — a serial chain of
-/// byte-test branches whose throughput lives and dies by the branch
-/// predictor. The vector path breaks that chain with the masked-varint
-/// trick: load 32 encoded bytes, take the continuation-bit mask with
-/// VPMOVMSKB, and read every window boundary of the block out of one scalar
-/// mask — the only loop-carried value is the block's byte count, a handful
-/// of ALU ops from the mask.
-///
-/// Values are decoded two windows at a time, shuffle-table style: each
-/// window's low 12 mask bits index a precomputed PSHUFB control that spreads
-/// its four varints into four dword lanes, two windows share one 256-bit
-/// register (one lane-parallel shuffle + multiply-add fold), and the
-/// (l, c, r) prefix sums come from two in-lane shifted adds, stored with a
-/// single 32-byte write. Windows the table cannot express (a varint of five
-/// bytes, or a window longer than 12 bytes) fall back to the bounds-checked
-/// scalar decode for just that window.
+/// Word-at-a-time posting-window decoder (see DecodeWindowRun in
+/// varint_block.h for the format). The scalar decoder walks one varint at a
+/// time, so every varint's length gates the address of the next — a serial
+/// chain of byte-test branches whose throughput lives and dies by the branch
+/// predictor. This path loads 8 encoded bytes at a window start, gathers
+/// their terminator bits with one pext, and uses them to index precomputed
+/// pext masks that extract all four varints of the window without per-byte
+/// branches.
 ///
 /// Output and failure behaviour are bit-identical to the scalar decoder and
-/// to reference::DecodeWindowRun: an overlong varint (>= 6 bytes, i.e. five
-/// consecutive continuation bits) anywhere in the consumed region fails the
-/// run, a legal 5-byte varint truncates its bits >= 32 exactly like
-/// GetVarint32, and the tail (fewer than 48 readable bytes, so the unaligned
-/// 16-byte window loads could cross `limit`) falls back to the
-/// bounds-checked one-varint-at-a-time path.
+/// to reference::DecodeWindowRun: windows not fully inside the 8-byte view
+/// (fat or overlong varints, or the last bytes before `limit`) fall back to
+/// the bounds-checked one-varint-at-a-time decoder, which supplies the exact
+/// overlong/truncation failure behaviour.
 ///
-/// Compiled on x86-64 GCC/Clang only (function-level target attributes keep
-/// the rest of the TU buildable without -mavx2); eligible at runtime iff the
-/// CPU has AVX2+BMI2+POPCNT. Path selection between this and the scalar
+/// Compiled on x86-64 GCC/Clang only (a function-level target attribute
+/// keeps the rest of the TU buildable without -mbmi2); eligible at runtime
+/// iff the CPU has BMI1+BMI2. Path selection between this and the scalar
 /// decoder is done by a one-time calibration in varint_block.h.
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -48,61 +36,10 @@ namespace ndss {
 
 #if defined(NDSS_VARINT_SIMD)
 
-/// True when this build carries the vector decoder and the CPU can run it.
-inline bool SimdWindowDecodeSupported() {
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("bmi") &&
-         __builtin_cpu_supports("bmi2") && __builtin_cpu_supports("popcnt");
-}
-
 namespace simd_internal {
 
-/// PSHUFB controls indexed by a window's low 12 continuation bits: entry wm
-/// spreads the window's four varints into the four dword lanes of a 128-bit
-/// register (byte b of varint v lands in lane v byte b; 0x80 pads the rest
-/// with zeros). wlen[wm] is the window's encoded size, or 0 when the pattern
-/// cannot be shuffled (a varint of 5 bytes, or a window past 12 bytes) and
-/// the caller must decode that window scalar. Slices taken near the end of a
-/// 32-byte view are safe even though zero bits shift in past bit 31: the
-/// walk only looks at bytes up to the window's 4th terminator, and a window
-/// that ends inside the view has all four terminators among the real bits.
-struct ShuffleTables {
-  alignas(64) uint8_t ctrl[4096][16];
-  uint8_t wlen[4096];
-};
-
-inline const ShuffleTables* GetShuffleTables() {
-  static const ShuffleTables* tables = [] {
-    static ShuffleTables t;
-    for (uint32_t wm = 0; wm < 4096; ++wm) {
-      t.wlen[wm] = 0;
-      uint32_t pos = 0;
-      uint8_t ctrl[16];
-      std::memset(ctrl, 0x80, sizeof(ctrl));
-      bool ok = true;
-      for (int v = 0; v < 4; ++v) {
-        uint32_t len = 0;
-        while (pos + len < 12 && ((wm >> (pos + len)) & 1)) ++len;
-        ++len;  // the terminator byte
-        if (pos + len > 12 || len > 4) {
-          ok = false;
-          break;
-        }
-        for (uint32_t b = 0; b < len; ++b) {
-          ctrl[4 * v + b] = static_cast<uint8_t>(pos + b);
-        }
-        pos += len;
-      }
-      if (!ok) continue;
-      std::memcpy(t.ctrl[wm], ctrl, sizeof(ctrl));
-      t.wlen[wm] = static_cast<uint8_t>(pos);
-    }
-    return &t;
-  }();
-  return tables;
-}
-
 /// Bounds-checked decode of exactly one window at *p, shared by every slow
-/// path of the vector decoder. Returns false on a truncated or overlong
+/// path of the word decoder. Returns false on a truncated or overlong
 /// varint (matching GetVarint32 exactly).
 inline bool DecodeOneWindowChecked(const char** p, const char* limit,
                                    uint32_t* prev_text, uint64_t* n,
@@ -179,7 +116,7 @@ inline const WordTables* GetWordTables() {
 }  // namespace simd_internal
 
 /// True when this build carries the word-at-a-time decoder and the CPU can
-/// run it (BMI1/BMI2 only — no vector units needed).
+/// run it (BMI1/BMI2).
 inline bool WordWindowDecodeSupported() {
   return __builtin_cpu_supports("bmi") && __builtin_cpu_supports("bmi2");
 }
@@ -187,9 +124,9 @@ inline bool WordWindowDecodeSupported() {
 /// Word-at-a-time DecodeWindowRun: one 8-byte load covers a whole common
 /// window (four varints), whose terminator bits — gathered with one pext —
 /// index precomputed pext masks that extract all four values with no
-/// per-byte branches. The load address chain is broken differently from
-/// the vector decoder: posting streams are length-stable (the same field
-/// widths repeat for long stretches), so the next window's address is
+/// per-byte branches. The serial load-address chain is broken by
+/// speculation: posting streams are length-stable (the same field widths
+/// repeat for long stretches), so the next window's address is
 /// speculated as p + previous window's length and fixed up behind a
 /// predicted branch, instead of waiting on the table load. Windows not
 /// fully inside the 8-byte view fall back to the checked decoder, which
@@ -354,134 +291,8 @@ __attribute__((target("bmi,bmi2"))) inline const char* DecodeWindowRunWord(
   return p;
 }
 
-/// Vector DecodeWindowRun. Same contract as the scalar decoder; see the
-/// file comment for how the serial varint chain is broken.
-__attribute__((target("avx2,bmi,bmi2,popcnt"))) inline const char*
-DecodeWindowRunSimd(const char* p, const char* limit, uint64_t max_windows,
-                    PostedWindow* out, uint64_t* decoded) {
-  using simd_internal::DecodeOneWindowChecked;
-  const simd_internal::ShuffleTables* tbl = simd_internal::GetShuffleTables();
-  const __m256i k7f = _mm256_set1_epi8(0x7f);
-  // maddubs pairs (unsigned multiplier, signed data <= 0x7f): b0 + (b1 << 7)
-  // per byte pair; madd then folds the 16-bit halves: lo + (hi << 14).
-  const __m256i kMul1 = _mm256_set1_epi16(static_cast<short>(0x8001));
-  const __m256i kMul2 = _mm256_set1_epi32((1 << 30) | 1);
-  const __m256i kKeep123 = _mm256_setr_epi32(0, -1, -1, -1, 0, -1, -1, -1);
-  uint32_t prev_text = 0;
-  uint64_t n = 0;
-  while (n < max_windows && p < limit) {
-    if (static_cast<size_t>(limit - p) < 48) {
-      // Tail: a window load could cross `limit` — decode checked.
-      if (!DecodeOneWindowChecked(&p, limit, &prev_text, &n, out)) {
-        return nullptr;
-      }
-      continue;
-    }
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(p + 256);
-#endif
-    const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-    // Bit i of `cont`: byte i continues its varint; of `ends`: byte i
-    // terminates one. The block holds popcount(ends)/4 complete windows.
-    const uint32_t cont = static_cast<uint32_t>(_mm256_movemask_epi8(v));
-    const uint32_t ends = ~cont;
-    uint64_t nw = _mm_popcnt_u32(ends) / 4;
-    if (nw > max_windows - n) nw = max_windows - n;
-    if (nw == 0) {
-      // No complete window in view (giant varints, or an overlong one
-      // still running): decode one window checked — it handles every
-      // case, including failing exactly where the scalar would.
-      if (!DecodeOneWindowChecked(&p, limit, &prev_text, &n, out)) {
-        return nullptr;
-      }
-      continue;
-    }
-    // Position of the last consumed terminator: the (4*nw)-th set bit.
-    const uint32_t last = _tzcnt_u32(_pdep_u32(1u << (4 * nw - 1), ends));
-    // Overlong check for the whole consumed region at once: a varint of
-    // >= 6 bytes is >= 5 consecutive continuation bits (runs of ones in
-    // `cont` never span varints — each ends with a 0 bit).
-    const uint32_t overlong =
-        cont & (cont >> 1) & (cont >> 2) & (cont >> 3) & (cont >> 4);
-    const uint32_t consumed_mask =
-        last >= 31 ? 0xffffffffu : ((1u << (last + 1)) - 1);
-    if (overlong & consumed_mask) return nullptr;
-    // One bit per window at its last terminator (the 4th, 8th, ... set
-    // bits of `ends`), so each window's end pops out of one tzcnt.
-    uint32_t wends = _pdep_u32(0x88888888u, ends);
-    uint32_t s = 0;
-    uint64_t j = 0;
-    for (; j + 2 <= nw; j += 2) {
-      const uint32_t wm0 = (cont >> s) & 0xfff;
-      const uint32_t e3a = _tzcnt_u32(wends);
-      wends = _blsr_u32(wends);
-      const uint32_t s1 = e3a + 1;
-      const uint32_t wm1 = (cont >> s1) & 0xfff;
-      const uint32_t e3b = _tzcnt_u32(wends);
-      wends = _blsr_u32(wends);
-      if (tbl->wlen[wm0] == 0 || tbl->wlen[wm1] == 0) {
-        // A 5-byte varint or a > 12-byte window: decode the pair checked.
-        // Overlong varints were rejected above, and both windows end by
-        // e3b < 32, so this cannot fail — the nullptr check is belt and
-        // braces.
-        const char* q = p + s;
-        const char* pair_limit = p + e3b + 1;
-        for (int k = 0; k < 2; ++k) {
-          if (!DecodeOneWindowChecked(&q, pair_limit, &prev_text, &n, out)) {
-            return nullptr;
-          }
-        }
-        s = e3b + 1;
-        continue;
-      }
-      const __m256i raw = _mm256_inserti128_si256(
-          _mm256_castsi128_si256(
-              _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + s))),
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + s1)), 1);
-      const __m256i ctrl = _mm256_inserti128_si256(
-          _mm256_castsi128_si256(_mm_load_si128(
-              reinterpret_cast<const __m128i*>(tbl->ctrl[wm0]))),
-          _mm_load_si128(reinterpret_cast<const __m128i*>(tbl->ctrl[wm1])),
-          1);
-      __m256i t = _mm256_shuffle_epi8(raw, ctrl);
-      t = _mm256_and_si256(t, k7f);
-      t = _mm256_maddubs_epi16(kMul1, t);
-      t = _mm256_madd_epi16(t, kMul2);
-      // t lanes per 128-bit half: [text delta, l, c - l, r - c].
-      // Build [_, l, c, r] with two shifted prefix adds, store both
-      // windows in one 32-byte write, then patch the text ids.
-      __m256i u = _mm256_and_si256(t, kKeep123);
-      u = _mm256_add_epi32(u, _mm256_slli_si256(u, 4));
-      u = _mm256_add_epi32(u, _mm256_slli_si256(u, 8));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(&out[n]), u);
-      const uint32_t text0 =
-          prev_text + static_cast<uint32_t>(_mm256_extract_epi32(t, 0));
-      const uint32_t text1 =
-          text0 + static_cast<uint32_t>(_mm256_extract_epi32(t, 4));
-      prev_text = text1;
-      out[n].text = text0;
-      out[n + 1].text = text1;
-      n += 2;
-      s = e3b + 1;
-    }
-    if (j < nw) {
-      // Odd leftover window of the block.
-      const uint32_t e3 = _tzcnt_u32(wends);
-      const char* q = p + s;
-      if (!DecodeOneWindowChecked(&q, p + e3 + 1, &prev_text, &n, out)) {
-        return nullptr;
-      }
-      s = e3 + 1;
-    }
-    p += s;
-  }
-  *decoded = n;
-  return p;
-}
-
 #else  // !NDSS_VARINT_SIMD
 
-inline bool SimdWindowDecodeSupported() { return false; }
 inline bool WordWindowDecodeSupported() { return false; }
 
 #endif  // NDSS_VARINT_SIMD

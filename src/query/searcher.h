@@ -11,12 +11,12 @@
 #include "common/result.h"
 #include "common/retry.h"
 #include "common/status.h"
-#include "hash/hash_family.h"
 #include "index/index_builder.h"
 #include "index/index_meta.h"
 #include "index/list_source.h"
 #include "query/collision_count.h"
 #include "query/cost_model.h"
+#include "sketch/sketch_scheme.h"
 #include "text/corpus.h"
 #include "text/types.h"
 

@@ -1,6 +1,8 @@
 #include "sketch/sketch_scheme.h"
 
 #include <algorithm>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -37,8 +39,8 @@ SketchScheme::SketchScheme(SketchSchemeId id, uint32_t k, uint64_t seed)
   NDSS_CHECK(k >= 1) << "sketch scheme needs at least one function";
   per_func_.reserve(k);
   if (id_ == SketchSchemeId::kIndependent) {
-    // Exactly HashFamily's seed chain, so function f of a (k, seed) family
-    // is bit-identical whether computed here or there.
+    // Chained seeds: function f's seed depends only on (seed, f), so a
+    // (k', seed) family is a prefix of every (k >= k', seed) family.
     uint64_t x = seed;
     for (uint32_t i = 0; i < k; ++i) {
       x = SplitMix64(x + i);
@@ -105,8 +107,8 @@ MinHashSketch ComputeSketch(const SketchScheme& scheme, const Token* tokens,
   sketch.argmin_tokens.resize(k);
   sketch.min_hashes.resize(k);
   if (scheme.id() == SketchSchemeId::kIndependent) {
-    // Keep the exact per-function loop of ComputeSketch(HashFamily, ...) so
-    // the result (including tie-breaks) stays bit-identical.
+    // One full hash per (function, token); ties break toward the smaller
+    // token.
     for (uint32_t f = 0; f < k; ++f) {
       uint64_t best_hash = scheme.Hash(f, tokens[0]);
       Token best_token = tokens[0];
@@ -142,6 +144,49 @@ MinHashSketch ComputeSketch(const SketchScheme& scheme, const Token* tokens,
     sketch.min_hashes[f] = best_hash;
   }
   return sketch;
+}
+
+double EstimateJaccard(const MinHashSketch& a, const MinHashSketch& b) {
+  NDSS_CHECK(a.min_hashes.size() == b.min_hashes.size())
+      << "sketches from different families";
+  if (a.min_hashes.empty()) return 0.0;
+  size_t collisions = 0;
+  for (size_t i = 0; i < a.min_hashes.size(); ++i) {
+    if (a.min_hashes[i] == b.min_hashes[i]) ++collisions;
+  }
+  return static_cast<double>(collisions) /
+         static_cast<double>(a.min_hashes.size());
+}
+
+double ExactDistinctJaccard(const Token* a, size_t na, const Token* b,
+                            size_t nb) {
+  if (na == 0 && nb == 0) return 1.0;
+  std::unordered_set<Token> set_a(a, a + na);
+  std::unordered_set<Token> set_b(b, b + nb);
+  size_t intersection = 0;
+  for (Token token : set_a) {
+    if (set_b.count(token) != 0) ++intersection;
+  }
+  const size_t union_size = set_a.size() + set_b.size() - intersection;
+  if (union_size == 0) return 1.0;
+  return static_cast<double>(intersection) / static_cast<double>(union_size);
+}
+
+double ExactMultisetJaccard(const Token* a, size_t na, const Token* b,
+                            size_t nb) {
+  if (na == 0 && nb == 0) return 1.0;
+  std::unordered_map<Token, size_t> counts_a;
+  for (size_t i = 0; i < na; ++i) ++counts_a[a[i]];
+  std::unordered_map<Token, size_t> counts_b;
+  for (size_t i = 0; i < nb; ++i) ++counts_b[b[i]];
+  size_t intersection = 0;
+  for (const auto& [token, count] : counts_a) {
+    auto it = counts_b.find(token);
+    if (it != counts_b.end()) intersection += std::min(count, it->second);
+  }
+  const size_t union_size = na + nb - intersection;
+  if (union_size == 0) return 1.0;
+  return static_cast<double>(intersection) / static_cast<double>(union_size);
 }
 
 CorpusBaseRows CorpusBaseRows::Build(const SketchScheme& scheme,

@@ -10,7 +10,6 @@
 #include "common/random.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "hash/hash_family.h"
 #include "text/corpus.h"
 #include "text/types.h"
 
@@ -20,8 +19,8 @@ namespace ndss {
 /// values are part of the on-disk format (IndexMeta v3 stores the raw id),
 /// so they must never be renumbered; new schemes append.
 enum class SketchSchemeId : uint32_t {
-  /// k independent SplitMix64 functions (the original HashFamily): every
-  /// token is hashed k times, once per function.
+  /// k independent SplitMix64 functions (the paper's family): every token
+  /// is hashed k times, once per function.
   kIndependent = 0,
 
   /// C-MinHash-style circulant scheme (Li & Li, "C-MinHash: Rigorously
@@ -66,11 +65,10 @@ Status ValidateSketchSchemeId(uint32_t raw, const std::string& context);
 ///
 /// Every function decomposes as Hash(f, x) == HashFromBase(f, BaseHash(x)).
 /// For kIndependent the base is the token itself (the full mix happens per
-/// function, exactly as HashFamily does it — bit-identical). For kCMinHash
-/// the base is the single σ evaluation, and HashFromBase is the cheap
-/// circulant derivation; callers that evaluate many functions over the same
-/// tokens (index builds, sketch computation) compute the base row once and
-/// re-use it k times.
+/// function). For kCMinHash the base is the single σ evaluation, and
+/// HashFromBase is the cheap circulant derivation; callers that evaluate
+/// many functions over the same tokens (index builds, sketch computation)
+/// compute the base row once and re-use it k times.
 class SketchScheme {
  public:
   /// Creates the k functions derived from `seed`. `k` must be >= 1.
@@ -96,10 +94,9 @@ class SketchScheme {
     return Rotl64(base, static_cast<int>(func & 63)) ^ per_func_[func];
   }
 
-  /// Hash of `token` under function `func`. `func` must be < k(). For
-  /// kIndependent this equals HashFamily(k, seed).Hash(func, token) bit for
-  /// bit (proven by sketch_test), so existing v2 indexes keep answering
-  /// identically.
+  /// Hash of `token` under function `func`. `func` must be < k(). The
+  /// values of both schemes are part of the on-disk format (v2 indexes are
+  /// kIndependent) and are pinned by sketch/sketch_golden.h.
   uint64_t Hash(uint32_t func, Token token) const {
     return HashFromBase(func, BaseHash(token));
   }
@@ -125,22 +122,49 @@ class SketchScheme {
   SketchSchemeId id_;
   uint32_t k_;
   uint64_t seed_;
-  /// kIndependent: the per-function seeds, chained exactly like
-  /// HashFamily's (x = SplitMix64(x + i)) so function f is identical across
-  /// every k — the property degraded k'-of-k search relies on.
+  /// kIndependent: the per-function seeds, chained as x = SplitMix64(x + i)
+  /// so function f is identical across every k — the property degraded
+  /// k'-of-k search relies on.
   /// kCMinHash: the per-function XOR masks. Either way this derivation is
   /// part of the on-disk format contract: changing it is a format change.
   std::vector<uint64_t> per_func_;
 };
 
+/// The k-mins sketch of a sequence: for each hash function, the token of the
+/// sequence achieving the minimum hash value (ties broken toward the smaller
+/// token id, which is deterministic and consistent between index and query
+/// sides because equal hash values imply equal tokens w.h.p.).
+struct MinHashSketch {
+  /// argmin_tokens[i] is the arg-min token under hash function i.
+  std::vector<Token> argmin_tokens;
+
+  /// min_hashes[i] is the corresponding minimum hash value.
+  std::vector<uint64_t> min_hashes;
+};
+
 /// Computes the k-mins sketch of `tokens` under `scheme`. For kIndependent
-/// the result is bit-identical to ComputeSketch(HashFamily(k, seed), ...);
-/// for kCMinHash the base row is evaluated once and the k minima are found
-/// over cheap circulant derivations. `n` must be >= 1. `base_scratch`, when
+/// each function hashes the tokens directly; for kCMinHash the base row is
+/// evaluated once and the k minima are found over cheap circulant
+/// derivations. `n` must be >= 1. `base_scratch`, when
 /// non-null, is reused for the base row to avoid a per-call allocation.
 MinHashSketch ComputeSketch(const SketchScheme& scheme, const Token* tokens,
                             size_t n,
                             std::vector<uint64_t>* base_scratch = nullptr);
+
+/// Estimated Jaccard similarity from two sketches of the same scheme:
+/// the fraction of functions on which the min-hash values collide.
+double EstimateJaccard(const MinHashSketch& a, const MinHashSketch& b);
+
+/// Exact distinct Jaccard similarity of two token sequences (the measure the
+/// sketch estimates): |distinct(a) ∩ distinct(b)| / |distinct(a) ∪
+/// distinct(b)|. Used by tests and the optional re-verification pass.
+double ExactDistinctJaccard(const Token* a, size_t na, const Token* b,
+                            size_t nb);
+
+/// Exact multi-set Jaccard similarity, where the i-th occurrence of a token
+/// only matches the i-th occurrence in the other sequence (Section 3.1).
+double ExactMultisetJaccard(const Token* a, size_t na, const Token* b,
+                            size_t nb);
 
 /// Materialized base-hash rows for a whole corpus: one uint64 per token,
 /// computed once and re-used across all k functions by the index builders

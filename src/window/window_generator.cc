@@ -6,21 +6,6 @@
 
 namespace ndss {
 
-void WindowGenerator::Generate(const HashFamily& family, uint32_t func,
-                               std::span<const Token> text, uint32_t t,
-                               std::vector<CompactWindow>* out) {
-  NDSS_CHECK(t >= 1) << "length threshold must be >= 1";
-  const size_t n = text.size();
-  if (n < t) return;
-  hashes_.resize(n);
-  for (size_t i = 0; i < n; ++i) hashes_[i] = family.Hash(func, text[i]);
-  if (method_ == WindowGenMethod::kMonotonicStack) {
-    GenerateStack(t, out);
-  } else {
-    GenerateRmq(t, out);
-  }
-}
-
 void WindowGenerator::Generate(const SketchScheme& scheme, uint32_t func,
                                std::span<const Token> text, uint32_t t,
                                std::vector<CompactWindow>* out) {
@@ -109,14 +94,14 @@ void WindowGenerator::GenerateStack(uint32_t t,
   }
 }
 
-void GenerateCompactWindowsReference(const HashFamily& family, uint32_t func,
+void GenerateCompactWindowsReference(const SketchScheme& scheme, uint32_t func,
                                      std::span<const Token> text, uint32_t t,
                                      std::vector<CompactWindow>* out) {
   NDSS_CHECK(t >= 1) << "length threshold must be >= 1";
   const size_t n = text.size();
   if (n < t) return;
   std::vector<uint64_t> hashes(n);
-  for (size_t i = 0; i < n; ++i) hashes[i] = family.Hash(func, text[i]);
+  for (size_t i = 0; i < n; ++i) hashes[i] = scheme.Hash(func, text[i]);
   // Direct transliteration of Algorithm 2 with a linear-scan arg-min and
   // leftmost tie-breaking.
   struct Frame {

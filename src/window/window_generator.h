@@ -5,7 +5,6 @@
 #include <span>
 #include <vector>
 
-#include "hash/hash_family.h"
 #include "rmq/rmq.h"
 #include "sketch/sketch_scheme.h"
 #include "text/types.h"
@@ -28,8 +27,8 @@ enum class WindowGenMethod {
 };
 
 /// Generates all valid compact windows of `text` under hash function `func`
-/// of `family` with length threshold `t >= 1`, appending them to `out` in
-/// unspecified order. Uses the monotonic-stack method.
+/// of a sketch scheme with length threshold `t >= 1`, appending them to
+/// `out` in unspecified order. Uses the monotonic-stack method.
 ///
 /// `scratch` is reused across calls to avoid per-text allocation; pass the
 /// same object for every text of a batch.
@@ -42,15 +41,8 @@ class WindowGenerator {
       RmqKind rmq_kind = RmqKind::kFischerHeun)
       : method_(method), rmq_kind_(rmq_kind) {}
 
-  /// Appends the valid compact windows of `text` under function `func` to
-  /// `out`. Windows are emitted with 0-based positions.
-  void Generate(const HashFamily& family, uint32_t func,
-                std::span<const Token> text, uint32_t t,
-                std::vector<CompactWindow>* out);
-
-  /// Same, under function `func` of a pluggable sketch scheme. For a
-  /// kIndependent scheme this produces exactly the HashFamily overload's
-  /// windows (the hash rows are bit-identical).
+  /// Appends the valid compact windows of `text` under function `func` of
+  /// `scheme` to `out`. Windows are emitted with 0-based positions.
   void Generate(const SketchScheme& scheme, uint32_t func,
                 std::span<const Token> text, uint32_t t,
                 std::vector<CompactWindow>* out);
@@ -80,8 +72,10 @@ class WindowGenerator {
 };
 
 /// Reference implementation of Algorithm 2 by direct recursion with a linear
-/// scan for the minimum: O(n^2) worst case. Only for tests (ground truth).
-void GenerateCompactWindowsReference(const HashFamily& family, uint32_t func,
+/// scan for the minimum: O(n^2) worst case. Hashes token by token through
+/// SketchScheme::Hash, independent of the row-fill fast paths. Only for
+/// tests (ground truth).
+void GenerateCompactWindowsReference(const SketchScheme& scheme, uint32_t func,
                                      std::span<const Token> text, uint32_t t,
                                      std::vector<CompactWindow>* out);
 

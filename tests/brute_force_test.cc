@@ -48,7 +48,7 @@ TEST(BruteForceExactTest, SimilarityValuesAreExact) {
 
 TEST(BruteForceApproxTest, ExactCopyCollidesEverywhere) {
   Corpus corpus = MakeCorpus({{5, 6, 7, 8, 9, 10}});
-  HashFamily family(16, 3);
+  SketchScheme family(SketchSchemeId::kIndependent, 16, 3);
   std::vector<Token> query = {5, 6, 7, 8, 9, 10};
   auto matches = BruteForceApproxSearch(corpus, family, query, 1.0, 6);
   ASSERT_FALSE(matches.empty());
@@ -64,7 +64,7 @@ TEST(BruteForceApproxTest, ExactCopyCollidesEverywhere) {
 
 TEST(BruteForceApproxTest, DisjointTokensNeverMatch) {
   Corpus corpus = MakeCorpus({{1, 2, 3, 4, 5, 6}});
-  HashFamily family(8, 3);
+  SketchScheme family(SketchSchemeId::kIndependent, 8, 3);
   std::vector<Token> query = {100, 200, 300, 400};
   EXPECT_TRUE(
       BruteForceApproxSearch(corpus, family, query, 0.5, 3).empty());

@@ -91,7 +91,7 @@ TEST_P(E2eSweepTest, SoundCompleteAndConfigurationInvariant) {
   auto comp = Searcher::Open(dir_ + "/comp");
   auto memory = Searcher::InMemory(sc.corpus, build);
   ASSERT_TRUE(raw.ok() && comp.ok() && memory.ok());
-  HashFamily family(build.k, build.seed);
+  SketchScheme family(SketchSchemeId::kIndependent, build.k, build.seed);
 
   Rng rng(config.k * 31 + config.t);
   for (int q = 0; q < 4; ++q) {

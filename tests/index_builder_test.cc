@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "corpusgen/synthetic.h"
-#include "hash/hash_family.h"
 #include "index/inverted_index_reader.h"
+#include "sketch/sketch_scheme.h"
 #include "text/corpus_file.h"
 #include "window/window_generator.h"
 
@@ -98,7 +98,7 @@ TEST_F(IndexBuilderTest, IndexContainsExactlyTheGeneratedWindows) {
   ASSERT_TRUE(stats.ok());
 
   // Regenerate windows directly and compare against the index contents.
-  HashFamily family(options.k, options.seed);
+  SketchScheme family(SketchSchemeId::kIndependent, options.k, options.seed);
   WindowGenerator generator;
   std::vector<KeyedWindow> expected;
   for (uint32_t func = 0; func < options.k; ++func) {

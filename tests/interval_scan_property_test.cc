@@ -224,7 +224,7 @@ TEST(IntervalScanPropertyTest, BlockDecodeMatchesReferenceDecode) {
 }
 
 // Every decoder that can serve DecodeWindowRun: the dispatched wrapper,
-// the scalar chunked path, and (when this CPU supports it) the vector
+// the scalar chunked path, and (when this CPU supports it) the word
 // path. The dispatched wrapper is tested in its own right so calibration
 // can never pick a path the suite did not cover.
 struct NamedDecoder {
@@ -237,9 +237,6 @@ std::vector<NamedDecoder> DecodersUnderTest() {
   decoders.push_back({"dispatched", &DecodeWindowRun});
   decoders.push_back({"scalar", &DecodeWindowRunScalar});
 #if defined(NDSS_VARINT_SIMD)
-  if (SimdWindowDecodeSupported()) {
-    decoders.push_back({"simd", &DecodeWindowRunSimd});
-  }
   if (WordWindowDecodeSupported()) {
     decoders.push_back({"word", &DecodeWindowRunWord});
   }
@@ -354,7 +351,7 @@ TEST(IntervalScanPropertyTest, BlockDecodeRejectsOverlongVarint) {
   // Five continuation bytes: every decoder must fail identically whether
   // the run is decoded checked (short buffer) or unchecked (long buffer),
   // and whether the overlong varint opens the stream or sits behind a few
-  // valid windows (mid-block for the vector path).
+  // valid windows (mid-stream, inside the fast loops).
   for (const size_t valid_prefix : {size_t{0}, size_t{3}, size_t{9}}) {
     std::vector<PostedWindow> windows;
     for (uint32_t i = 0; i < valid_prefix; ++i) {

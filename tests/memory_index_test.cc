@@ -24,7 +24,7 @@ SyntheticCorpus SmallCorpus() {
 
 TEST(InMemoryIndexTest, WindowCountMatchesDiskBuild) {
   SyntheticCorpus sc = SmallCorpus();
-  HashFamily family(4, 0x5eed5eed5eed5eedULL);
+  SketchScheme family(SketchSchemeId::kIndependent, 4, 0x5eed5eed5eed5eedULL);
   uint64_t total = 0;
   for (uint32_t func = 0; func < 4; ++func) {
     InMemoryInvertedIndex index(sc.corpus, family, func, 20);
@@ -43,7 +43,7 @@ TEST(InMemoryIndexTest, WindowCountMatchesDiskBuild) {
 
 TEST(InMemoryIndexTest, PointLookupMatchesFullList) {
   SyntheticCorpus sc = SmallCorpus();
-  HashFamily family(1, 7);
+  SketchScheme family(SketchSchemeId::kIndependent, 1, 7);
   InMemoryInvertedIndex index(sc.corpus, family, 0, 10);
   ASSERT_FALSE(index.directory().empty());
   for (const ListMeta& meta : index.directory()) {

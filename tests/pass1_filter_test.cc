@@ -18,12 +18,12 @@
 
 #include "baseline/brute_force.h"
 #include "common/random.h"
-#include "hash/hash_family.h"
 #include "index/index_builder.h"
 #include "index/memory_index.h"
 #include "query/collision_count.h"
 #include "query/list_cache.h"
 #include "query/searcher.h"
+#include "sketch/sketch_scheme.h"
 
 namespace ndss {
 namespace {
@@ -55,8 +55,10 @@ std::set<SequenceKey> BruteForce(const Corpus& corpus, uint32_t k,
                                  double theta) {
   std::set<SequenceKey> sequences;
   for (const BaselineMatch& m :
-       BruteForceApproxSearch(corpus, HashFamily(k, IndexMeta{}.seed), query,
-                              theta, kT)) {
+       BruteForceApproxSearch(
+           corpus,
+           SketchScheme(SketchSchemeId::kIndependent, k, IndexMeta{}.seed),
+           query, theta, kT)) {
     sequences.insert({m.text, m.begin, m.end});
   }
   return sequences;

@@ -11,9 +11,9 @@
 
 #include "baseline/brute_force.h"
 #include "corpusgen/synthetic.h"
-#include "hash/hash_family.h"
 #include "index/index_builder.h"
 #include "query/searcher.h"
+#include "sketch/sketch_scheme.h"
 
 namespace ndss {
 namespace {
@@ -77,7 +77,7 @@ TEST_F(SearchCorrectnessTest, MatchesBruteForceAcrossThetas) {
   ASSERT_TRUE(BuildIndexInMemory(sc.corpus, dir_, build).ok());
   auto searcher = Searcher::Open(dir_);
   ASSERT_TRUE(searcher.ok()) << searcher.status().ToString();
-  HashFamily family(build.k, build.seed);
+  SketchScheme family(SketchSchemeId::kIndependent, build.k, build.seed);
 
   Rng rng(7);
   for (int q = 0; q < 6; ++q) {
@@ -175,7 +175,7 @@ TEST_F(SearchCorrectnessTest, ReportedCollisionCountsAreExact) {
   ASSERT_TRUE(BuildIndexInMemory(sc.corpus, dir_, build).ok());
   auto searcher = Searcher::Open(dir_);
   ASSERT_TRUE(searcher.ok());
-  HashFamily family(build.k, build.seed);
+  SketchScheme family(SketchSchemeId::kIndependent, build.k, build.seed);
 
   const auto text0 = sc.corpus.text(0);
   const std::vector<Token> query(text0.begin(),

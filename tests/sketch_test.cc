@@ -1,16 +1,19 @@
-// Tests of the pluggable sketching subsystem: the kIndependent scheme's
-// bit-identity with the original HashFamily (the v2-compat contract), the
-// C-MinHash circulant derivation, the IndexMeta v3 format field, the
-// end-to-end correctness of C-MinHash indexes against the brute-force
-// ground truth, and the papers' estimator-quality claim (C-MinHash MSE no
-// worse than k-independent) checked statistically over ~1k sequence pairs.
+// Tests of the pluggable sketching subsystem: golden vectors that pin both
+// schemes' hash values and index bytes (the on-disk format contract), the
+// min-hash sketch and Jaccard properties under both schemes, the C-MinHash
+// circulant derivation, the IndexMeta v3 format field, the end-to-end
+// correctness of C-MinHash indexes against the brute-force ground truth,
+// and the papers' estimator-quality claim (C-MinHash MSE no worse than
+// k-independent) checked statistically over ~1k sequence pairs.
 
 #include "sketch/sketch_scheme.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -21,11 +24,11 @@
 #include "common/file_io.h"
 #include "common/random.h"
 #include "corpusgen/synthetic.h"
-#include "hash/hash_family.h"
 #include "index/index_builder.h"
 #include "index/index_meta.h"
 #include "index/inverted_index_reader.h"
 #include "query/searcher.h"
+#include "sketch/sketch_golden.h"
 #include "text/corpus_file.h"
 #include "window/window_generator.h"
 
@@ -54,30 +57,87 @@ std::vector<Token> RandomTokens(size_t n, uint32_t vocab, uint64_t seed) {
 }
 
 // ---------------------------------------------------------------------------
-// Scheme mechanics
+// Golden vectors: the format contract
 // ---------------------------------------------------------------------------
 
-TEST_F(SketchTest, KIndependentBitIdenticalToHashFamily) {
-  for (const auto& [k, seed] : std::vector<std::pair<uint32_t, uint64_t>>{
-           {1, 0}, {4, 7}, {16, 0x5eed5eed5eed5eedULL}, {70, 123456789}}) {
-    const HashFamily family(k, seed);
-    const SketchScheme scheme(SketchSchemeId::kIndependent, k, seed);
-    ASSERT_EQ(scheme.k(), k);
-    ASSERT_EQ(scheme.seed(), seed);
-    for (uint32_t f = 0; f < k; ++f) {
-      for (Token token : {Token{0}, Token{1}, Token{42}, Token{999999},
-                          Token{0xffffffff}}) {
-        ASSERT_EQ(scheme.Hash(f, token), family.Hash(f, token))
-            << "k=" << k << " seed=" << seed << " f=" << f;
-      }
+TEST_F(SketchTest, GoldenHashValues) {
+  EXPECT_EQ(sketch_golden::CheckGoldenVectors(), "");
+}
+
+TEST_F(SketchTest, GoldenIndexFiles) {
+  // A tiny corpus from a fixed LCG (independent of Rng and the synthetic
+  // generator, so only the index format can move these values); every
+  // fourth text repeats a 30-token run of text 0 so lists share texts.
+  Corpus corpus;
+  uint64_t x = 12345;
+  const auto next = [&x]() {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<uint32_t>(x >> 33);
+  };
+  std::vector<Token> first;
+  for (int i = 0; i < 12; ++i) {
+    std::vector<Token> text(40 + next() % 60);
+    for (Token& token : text) token = next() % 64;
+    if (i == 0) first = text;
+    if (i % 4 == 3) {
+      std::copy(first.begin(), first.begin() + 30, text.begin() + 5);
     }
-    const std::vector<Token> tokens = RandomTokens(200, 1000, seed + 1);
-    const MinHashSketch a = ComputeSketch(family, tokens.data(), tokens.size());
-    const MinHashSketch b = ComputeSketch(scheme, tokens.data(), tokens.size());
-    ASSERT_EQ(a.min_hashes, b.min_hashes);
-    ASSERT_EQ(a.argmin_tokens, b.argmin_tokens);
+    corpus.AddText(text);
+  }
+  // crc32c of every file of the index, in kFiles order.
+  static constexpr const char* kFiles[] = {
+      "CURRENT",        "index.meta",     "inverted.0.ndx",
+      "inverted.1.ndx", "inverted.2.ndx", "inverted.3.ndx"};
+  struct GoldenIndex {
+    SketchSchemeId scheme;
+    bool compressed;
+    uint32_t crcs[std::size(kFiles)];
+  };
+  static constexpr GoldenIndex kIndexes[] = {
+      {SketchSchemeId::kIndependent, false,
+       {0xd4ebd8a9u, 0x7485a17fu, 0xd935c7b7u, 0x4452c00eu, 0x31a87a06u,
+        0x698a6008u}},
+      {SketchSchemeId::kIndependent, true,
+       {0xd4ebd8a9u, 0x7485a17fu, 0x05084a0du, 0x7da80a18u, 0xae21dd9du,
+        0x56a5f32fu}},
+      {SketchSchemeId::kCMinHash, false,
+       {0xd4ebd8a9u, 0x53e5b4c9u, 0x19e7eec6u, 0x6f128d1fu, 0xc7ffab7fu,
+        0xa3b67d7cu}},
+      {SketchSchemeId::kCMinHash, true,
+       {0xd4ebd8a9u, 0x53e5b4c9u, 0xac5ab07du, 0x9f92b41cu, 0xb0e84c31u,
+        0x1a9358a3u}},
+  };
+  for (const GoldenIndex& golden : kIndexes) {
+    IndexBuildOptions options;
+    options.k = 4;
+    options.seed = 99;
+    options.t = 8;
+    options.zone_step = 4;
+    options.zone_threshold = 16;
+    options.sketch = golden.scheme;
+    options.posting_format = golden.compressed ? index_format::kFormatCompressed
+                                               : index_format::kFormatRaw;
+    const std::string dir = dir_ + "/" + SketchSchemeName(golden.scheme) +
+                            (golden.compressed ? "_compressed" : "_raw");
+    ASSERT_TRUE(BuildIndexInMemory(corpus, dir, options).ok());
+    std::set<std::string> names;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      names.insert(entry.path().filename().string());
+    }
+    EXPECT_EQ(names, std::set<std::string>(std::begin(kFiles),
+                                           std::end(kFiles)));
+    for (size_t i = 0; i < std::size(kFiles); ++i) {
+      auto data = ReadFileToString(dir + "/" + kFiles[i]);
+      ASSERT_TRUE(data.ok()) << data.status().ToString();
+      EXPECT_EQ(crc32c::Value(data->data(), data->size()), golden.crcs[i])
+          << dir << "/" << kFiles[i];
+    }
   }
 }
+
+// ---------------------------------------------------------------------------
+// Scheme mechanics
+// ---------------------------------------------------------------------------
 
 TEST_F(SketchTest, HashDecomposesThroughBase) {
   for (SketchSchemeId id :
@@ -119,44 +179,58 @@ TEST_F(SketchTest, RowFillsMatchScalarHashes) {
 }
 
 TEST_F(SketchTest, SchemesAreDeterministicAndDistinct) {
-  const SketchScheme a(SketchSchemeId::kCMinHash, 8, 42);
-  const SketchScheme b(SketchSchemeId::kCMinHash, 8, 42);
-  const SketchScheme indep(SketchSchemeId::kIndependent, 8, 42);
-  const SketchScheme other_seed(SketchSchemeId::kCMinHash, 8, 43);
-  int same_as_indep = 0, same_as_other_seed = 0;
-  for (uint32_t f = 0; f < 8; ++f) {
-    for (Token token = 0; token < 64; ++token) {
-      ASSERT_EQ(a.Hash(f, token), b.Hash(f, token));
-      if (a.Hash(f, token) == indep.Hash(f, token)) ++same_as_indep;
-      if (a.Hash(f, token) == other_seed.Hash(f, token)) ++same_as_other_seed;
-    }
-  }
-  // 512 comparisons of 64-bit values: any collision at all is ~0 w.h.p.
-  EXPECT_EQ(same_as_indep, 0);
-  EXPECT_EQ(same_as_other_seed, 0);
-}
-
-TEST_F(SketchTest, CMinHashFunctionsAreDistinctPermutations) {
-  // Distinct tokens never collide under one function (bijection), and
-  // different functions disagree on the same token.
-  const SketchScheme scheme(SketchSchemeId::kCMinHash, 70, 1);
-  const std::vector<Token> tokens = RandomTokens(300, 1u << 30, 5);
-  for (uint32_t f : {0u, 1u, 64u, 69u}) {
-    std::set<uint64_t> values;
-    for (Token token : tokens) values.insert(scheme.Hash(f, token));
-    // Random token draws may repeat; distinct hashes == distinct tokens.
-    const std::set<Token> distinct(tokens.begin(), tokens.end());
-    EXPECT_EQ(values.size(), distinct.size()) << "func " << f;
-  }
-  int agreements = 0;
-  for (uint32_t f = 1; f < 70; ++f) {
-    for (int i = 0; i < 20; ++i) {
-      if (scheme.Hash(f, tokens[i]) == scheme.Hash(0, tokens[i])) {
-        ++agreements;
+  // Same (scheme, k, seed), same functions. Another seed, or the other
+  // scheme at the same seed, shares no value: 512 comparisons of 64-bit
+  // values per pair, so any collision at all is ~0 w.h.p.
+  for (SketchSchemeId id :
+       {SketchSchemeId::kIndependent, SketchSchemeId::kCMinHash}) {
+    const SketchScheme a(id, 8, 42), b(id, 8, 42), other_seed(id, 8, 43);
+    int same_as_other_seed = 0;
+    for (uint32_t f = 0; f < 8; ++f) {
+      for (Token token = 0; token < 64; ++token) {
+        ASSERT_EQ(a.Hash(f, token), b.Hash(f, token));
+        if (a.Hash(f, token) == other_seed.Hash(f, token)) {
+          ++same_as_other_seed;
+        }
       }
     }
+    EXPECT_EQ(same_as_other_seed, 0) << SketchSchemeName(id);
   }
-  EXPECT_EQ(agreements, 0);
+  const SketchScheme indep(SketchSchemeId::kIndependent, 8, 42);
+  const SketchScheme cmin(SketchSchemeId::kCMinHash, 8, 42);
+  int same_across_schemes = 0;
+  for (uint32_t f = 0; f < 8; ++f) {
+    for (Token token = 0; token < 64; ++token) {
+      if (indep.Hash(f, token) == cmin.Hash(f, token)) ++same_across_schemes;
+    }
+  }
+  EXPECT_EQ(same_across_schemes, 0);
+}
+
+TEST_F(SketchTest, FunctionsAreDistinctPermutations) {
+  // Distinct tokens never collide under one function (both schemes are
+  // bijections), checked on a dense small vocabulary plus random ids; and
+  // the k functions all hash a token apart.
+  std::vector<Token> tokens = RandomTokens(300, 1u << 30, 5);
+  for (Token token = 0; token < 100000; ++token) tokens.push_back(token);
+  std::sort(tokens.begin(), tokens.end());
+  tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
+  for (SketchSchemeId id :
+       {SketchSchemeId::kIndependent, SketchSchemeId::kCMinHash}) {
+    const SketchScheme scheme(id, 70, 1);
+    for (uint32_t f : {0u, 1u, 64u, 69u}) {
+      std::vector<uint64_t> values(tokens.size());
+      scheme.FillHashRow(f, tokens.data(), tokens.size(), values.data());
+      std::sort(values.begin(), values.end());
+      EXPECT_EQ(std::unique(values.begin(), values.end()), values.end())
+          << SketchSchemeName(id) << " func " << f;
+    }
+    for (Token token : {Token{7}, Token{0}, Token{0xffffffff}}) {
+      std::set<uint64_t> across;
+      for (uint32_t f = 0; f < 70; ++f) across.insert(scheme.Hash(f, token));
+      EXPECT_EQ(across.size(), 70u) << SketchSchemeName(id);
+    }
+  }
 }
 
 TEST_F(SketchTest, ParseAndNameRoundTrip) {
@@ -182,29 +256,128 @@ TEST_F(SketchTest, ValidateSchemeIdRejectsUnknown) {
 }
 
 // ---------------------------------------------------------------------------
-// Window generation
+// Hash, sketch and Jaccard properties, under both schemes
 // ---------------------------------------------------------------------------
 
-TEST_F(SketchTest, SchemeWindowsMatchFamilyWindowsForKIndependent) {
-  const HashFamily family(4, 77);
-  const SketchScheme scheme(SketchSchemeId::kIndependent, 4, 77);
-  const std::vector<Token> text = RandomTokens(400, 50, 9);
-  WindowGenerator generator;
-  for (uint32_t f = 0; f < 4; ++f) {
-    std::vector<CompactWindow> from_family, from_scheme;
-    generator.Generate(family, f, text, 10, &from_family);
-    generator.Generate(scheme, f, text, 10, &from_scheme);
-    SortWindows(&from_family);
-    SortWindows(&from_scheme);
-    ASSERT_FALSE(from_family.empty());
-    ASSERT_EQ(from_family.size(), from_scheme.size());
-    for (size_t i = 0; i < from_family.size(); ++i) {
-      ASSERT_EQ(from_family[i].l, from_scheme[i].l);
-      ASSERT_EQ(from_family[i].c, from_scheme[i].c);
-      ASSERT_EQ(from_family[i].r, from_scheme[i].r);
-    }
+class SchemePropertyTest : public ::testing::TestWithParam<SketchSchemeId> {
+};
+
+TEST_P(SchemePropertyTest, SketchOfSingleToken) {
+  const SketchScheme scheme(GetParam(), 16, 5);
+  Token token = 9;
+  MinHashSketch sketch = ComputeSketch(scheme, &token, 1);
+  ASSERT_EQ(sketch.argmin_tokens.size(), 16u);
+  for (uint32_t f = 0; f < 16; ++f) {
+    EXPECT_EQ(sketch.argmin_tokens[f], 9u);
+    EXPECT_EQ(sketch.min_hashes[f], scheme.Hash(f, 9));
   }
 }
+
+TEST_P(SchemePropertyTest, SketchIsOrderInvariant) {
+  const SketchScheme scheme(GetParam(), 8, 11);
+  std::vector<Token> a = {1, 2, 3, 4, 5};
+  std::vector<Token> b = {5, 3, 1, 2, 4};
+  MinHashSketch sa = ComputeSketch(scheme, a.data(), a.size());
+  MinHashSketch sb = ComputeSketch(scheme, b.data(), b.size());
+  EXPECT_EQ(sa.argmin_tokens, sb.argmin_tokens);
+  EXPECT_EQ(sa.min_hashes, sb.min_hashes);
+}
+
+TEST_P(SchemePropertyTest, SketchIgnoresDuplicates) {
+  const SketchScheme scheme(GetParam(), 8, 11);
+  std::vector<Token> a = {1, 2, 3};
+  std::vector<Token> b = {1, 1, 2, 2, 3, 3, 3};
+  EXPECT_EQ(ComputeSketch(scheme, a.data(), a.size()).min_hashes,
+            ComputeSketch(scheme, b.data(), b.size()).min_hashes);
+}
+
+TEST_P(SchemePropertyTest, IdenticalSequencesEstimateOne) {
+  const SketchScheme scheme(GetParam(), 32, 3);
+  std::vector<Token> a = {10, 20, 30, 40};
+  MinHashSketch s1 = ComputeSketch(scheme, a.data(), a.size());
+  MinHashSketch s2 = ComputeSketch(scheme, a.data(), a.size());
+  EXPECT_DOUBLE_EQ(EstimateJaccard(s1, s2), 1.0);
+}
+
+TEST_P(SchemePropertyTest, DisjointSequencesEstimateNearZero) {
+  const SketchScheme scheme(GetParam(), 64, 3);
+  std::vector<Token> a, b;
+  for (Token t = 0; t < 50; ++t) a.push_back(t);
+  for (Token t = 1000; t < 1050; ++t) b.push_back(t);
+  MinHashSketch sa = ComputeSketch(scheme, a.data(), a.size());
+  MinHashSketch sb = ComputeSketch(scheme, b.data(), b.size());
+  EXPECT_LT(EstimateJaccard(sa, sb), 0.1);
+}
+
+// Statistical property: the estimate is unbiased — for sets with true
+// Jaccard J, the mean collision fraction over many hash functions
+// approaches J (variance O(1/k), Section 3.2).
+TEST_P(SchemePropertyTest, EstimateConvergesToTrueJaccard) {
+  const SketchScheme scheme(GetParam(), 512, 77);
+  // |A ∩ B| = 50, |A ∪ B| = 100 → J = 0.5.
+  std::vector<Token> a, b;
+  for (Token t = 0; t < 75; ++t) a.push_back(t);
+  for (Token t = 25; t < 100; ++t) b.push_back(t);
+  MinHashSketch sa = ComputeSketch(scheme, a.data(), a.size());
+  MinHashSketch sb = ComputeSketch(scheme, b.data(), b.size());
+  EXPECT_NEAR(EstimateJaccard(sa, sb), 0.5, 0.07);
+}
+
+// Property sweep: min-hash collision probability for random set pairs
+// tracks their exact Jaccard across set sizes.
+TEST_P(SchemePropertyTest, CollisionRateTracksJaccard) {
+  for (size_t set_size : {8, 32, 128, 512}) {
+    const SketchScheme scheme(GetParam(), 256, set_size * 7919 + 1);
+    Rng rng(set_size);
+    std::vector<Token> a, b;
+    for (size_t i = 0; i < set_size; ++i) {
+      a.push_back(static_cast<Token>(rng.Uniform(4 * set_size)));
+      b.push_back(static_cast<Token>(rng.Uniform(4 * set_size)));
+    }
+    const double exact =
+        ExactDistinctJaccard(a.data(), a.size(), b.data(), b.size());
+    MinHashSketch sa = ComputeSketch(scheme, a.data(), a.size());
+    MinHashSketch sb = ComputeSketch(scheme, b.data(), b.size());
+    EXPECT_NEAR(EstimateJaccard(sa, sb), exact, 0.12) << "size " << set_size;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, SchemePropertyTest,
+    ::testing::Values(SketchSchemeId::kIndependent, SketchSchemeId::kCMinHash),
+    [](const ::testing::TestParamInfo<SketchSchemeId>& info) {
+      return std::string(SketchSchemeName(info.param));
+    });
+
+// Exact Jaccard is scheme-free: the ground truth both estimators target.
+TEST(ExactJaccardTest, DistinctJaccardPaperExample) {
+  // Section 3.1: (A,A,A,B,B) vs (A,B,B,B,C) — treated as (A1,A2,A3,B1,B2)
+  // and (A1,B1,B2,B3,C1): distinct = 2/3, multiset = 3/7.
+  std::vector<Token> a = {0, 0, 0, 1, 1};
+  std::vector<Token> b = {0, 1, 1, 1, 2};
+  EXPECT_DOUBLE_EQ(ExactDistinctJaccard(a.data(), a.size(), b.data(),
+                                        b.size()),
+                   2.0 / 3.0);
+  EXPECT_DOUBLE_EQ(ExactMultisetJaccard(a.data(), a.size(), b.data(),
+                                        b.size()),
+                   3.0 / 7.0);
+}
+
+TEST(ExactJaccardTest, EdgeCases) {
+  std::vector<Token> a = {1, 2};
+  EXPECT_DOUBLE_EQ(ExactDistinctJaccard(a.data(), a.size(), a.data(),
+                                        a.size()),
+                   1.0);
+  EXPECT_DOUBLE_EQ(ExactDistinctJaccard(a.data(), 0, a.data(), 0), 1.0);
+  std::vector<Token> b = {3, 4};
+  EXPECT_DOUBLE_EQ(ExactDistinctJaccard(a.data(), a.size(), b.data(),
+                                        b.size()),
+                   0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Window generation
+// ---------------------------------------------------------------------------
 
 TEST_F(SketchTest, GenerateFromBaseMatchesDirectGeneration) {
   const SketchScheme scheme(SketchSchemeId::kCMinHash, 6, 123);

@@ -5,7 +5,7 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "hash/hash_family.h"
+#include "sketch/sketch_scheme.h"
 
 namespace ndss {
 namespace {

@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "corpusgen/synthetic.h"
-#include "hash/hash_family.h"
 #include "index/index_builder.h"
+#include "sketch/sketch_scheme.h"
 
 namespace ndss {
 namespace {

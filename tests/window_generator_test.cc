@@ -40,7 +40,7 @@ class WindowGeneratorTest : public ::testing::TestWithParam<GenConfig> {};
 
 TEST_P(WindowGeneratorTest, MatchesReferenceImplementation) {
   const GenConfig config = GetParam();
-  HashFamily family(4, 99);
+  SketchScheme family(SketchSchemeId::kIndependent, 4, 99);
   WindowGenerator generator(config.method, config.rmq);
   for (uint64_t seed = 0; seed < 8; ++seed) {
     for (uint32_t vocab : {3u, 10u, 1000u}) {  // small vocab → many ties
@@ -65,7 +65,7 @@ TEST_P(WindowGeneratorTest, EveryLongSequenceInExactlyOneWindow) {
   // Theorem 1 part 2: each sequence with >= t tokens lies in one and only
   // one generated window.
   const GenConfig config = GetParam();
-  HashFamily family(1, 5);
+  SketchScheme family(SketchSchemeId::kIndependent, 1, 5);
   WindowGenerator generator(config.method, config.rmq);
   const uint32_t t = 4;
   for (uint64_t seed = 0; seed < 5; ++seed) {
@@ -93,7 +93,7 @@ TEST_P(WindowGeneratorTest, WindowsOfOneTextArePairwiseDisjoint) {
   // [l, c] and their [c, r] ranges overlap. Zipf-skewed tokens give the
   // repeated minima (ties) that natural text has.
   const GenConfig config = GetParam();
-  HashFamily family(3, 17);
+  SketchScheme family(SketchSchemeId::kIndependent, 3, 17);
   WindowGenerator generator(config.method, config.rmq);
   for (uint64_t seed = 0; seed < 6; ++seed) {
     for (uint32_t vocab : {4u, 64u, 4096u}) {
@@ -126,7 +126,7 @@ TEST_P(WindowGeneratorTest, WindowsOfOneTextArePairwiseDisjoint) {
 
 TEST_P(WindowGeneratorTest, CenterHoldsMinimumHash) {
   const GenConfig config = GetParam();
-  HashFamily family(1, 21);
+  SketchScheme family(SketchSchemeId::kIndependent, 1, 21);
   WindowGenerator generator(config.method, config.rmq);
   const std::vector<Token> text = RandomText(500, 50, 3);
   std::vector<CompactWindow> windows;
@@ -143,7 +143,7 @@ TEST_P(WindowGeneratorTest, CenterHoldsMinimumHash) {
 
 TEST_P(WindowGeneratorTest, AllWindowsAreValidWidth) {
   const GenConfig config = GetParam();
-  HashFamily family(2, 8);
+  SketchScheme family(SketchSchemeId::kIndependent, 2, 8);
   WindowGenerator generator(config.method, config.rmq);
   const std::vector<Token> text = RandomText(300, 1000, 9);
   for (uint32_t t : {5u, 50u}) {
@@ -160,7 +160,7 @@ TEST_P(WindowGeneratorTest, AllWindowsAreValidWidth) {
 
 TEST_P(WindowGeneratorTest, TextShorterThanThresholdYieldsNothing) {
   const GenConfig config = GetParam();
-  HashFamily family(1, 8);
+  SketchScheme family(SketchSchemeId::kIndependent, 1, 8);
   WindowGenerator generator(config.method, config.rmq);
   const std::vector<Token> text = RandomText(10, 100, 1);
   std::vector<CompactWindow> windows;
@@ -191,7 +191,7 @@ TEST(WindowTheoryTest, ExpectedCountMatchesTheorem) {
   std::vector<Token> text(n);
   for (size_t i = 0; i < n; ++i) text[i] = static_cast<Token>(i);  // distinct
   const uint32_t kTrials = 400;
-  HashFamily family(kTrials, 2023);
+  SketchScheme family(SketchSchemeId::kIndependent, kTrials, 2023);
   WindowGenerator generator;
   for (uint32_t t : {5u, 25u, 50u}) {
     uint64_t total = 0;
@@ -209,7 +209,7 @@ TEST(WindowTheoryTest, ExpectedCountMatchesTheorem) {
 
 TEST(WindowTheoryTest, CountScalesInverselyWithThreshold) {
   const std::vector<Token> text = RandomText(5000, 100000, 77);
-  HashFamily family(1, 4);
+  SketchScheme family(SketchSchemeId::kIndependent, 1, 4);
   WindowGenerator generator;
   std::vector<size_t> counts;
   for (uint32_t t : {25u, 50u, 100u}) {
@@ -223,7 +223,7 @@ TEST(WindowTheoryTest, CountScalesInverselyWithThreshold) {
 }
 
 TEST(WindowGeneratorEdgeTest, SingleTokenText) {
-  HashFamily family(1, 1);
+  SketchScheme family(SketchSchemeId::kIndependent, 1, 1);
   WindowGenerator generator;
   std::vector<Token> text = {7};
   std::vector<CompactWindow> windows;
@@ -233,7 +233,7 @@ TEST(WindowGeneratorEdgeTest, SingleTokenText) {
 }
 
 TEST(WindowGeneratorEdgeTest, AllIdenticalTokens) {
-  HashFamily family(1, 1);
+  SketchScheme family(SketchSchemeId::kIndependent, 1, 1);
   std::vector<Token> text(20, 5);
   for (const GenConfig& config : kConfigs) {
     WindowGenerator generator(config.method, config.rmq);
