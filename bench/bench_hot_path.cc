@@ -463,6 +463,7 @@ int Run(int argc, char** argv) {
     writer.Field("quick", quick);
     writer.Field("scale", bench::ScaleFactor());
     writer.Field("decode_path", std::string(WindowDecodePathName()));
+    bench::WriteHost(&writer);
     writer.BeginArray("kernels");
     for (const KernelReport& r : kernels) {
       writer.BeginObject();

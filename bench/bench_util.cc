@@ -1,8 +1,13 @@
 #include "bench_util.h"
 
+#include <sched.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <string>
+#include <thread>
 
 #include "common/stopwatch.h"
 
@@ -190,6 +195,34 @@ void PrintHeader(const std::string& experiment, const std::string& note) {
               ScaleFactor());
   std::printf("---------------------------------------------------"
               "---------------------------\n");
+}
+
+void WriteHost(JsonWriter* writer) {
+  std::string cpu_model = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t colon = line.find(':');
+    if (colon != std::string::npos && colon + 2 <= line.size()) {
+      cpu_model = line.substr(colon + 2);
+    }
+    break;
+  }
+  writer->BeginObject("host");
+  writer->Field("cpu_model", cpu_model);
+  // What nproc prints: the CPUs this process may run on.
+  uint64_t nproc = std::thread::hardware_concurrency();
+  cpu_set_t cpus;
+  if (sched_getaffinity(0, sizeof(cpus), &cpus) == 0) nproc = CPU_COUNT(&cpus);
+  writer->Field("nproc", nproc);
+#if defined(__clang__)
+  writer->Field("compiler", std::string("clang ") + __clang_version__);
+#elif defined(__GNUC__)
+  writer->Field("compiler", std::string("gcc ") + __VERSION__);
+#else
+  writer->Field("compiler", std::string("unknown"));
+#endif
+  writer->EndObject();
 }
 
 }  // namespace bench

@@ -81,6 +81,12 @@ class JsonWriter {
   std::vector<bool> has_sibling_;  ///< per nesting level: need a comma?
 };
 
+/// Writes a "host" object naming the machine a report was measured on: the
+/// CPU model from /proc/cpuinfo ("unknown" where it cannot be read), the
+/// number of CPUs the process may run on (as nproc prints it) and the
+/// compiler that built the bench.
+void WriteHost(JsonWriter* writer);
+
 }  // namespace bench
 }  // namespace ndss
 

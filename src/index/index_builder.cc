@@ -1,6 +1,7 @@
 #include "index/index_builder.h"
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "index/inverted_index_writer.h"
+#include "index/ordered_windows.h"
 #include "index/posting.h"
 #include "sketch/sketch_scheme.h"
 
@@ -43,53 +45,55 @@ IndexMeta MakeMeta(const IndexBuildOptions& options, uint64_t num_texts,
   return meta;
 }
 
-/// Generates the KeyedWindows of every text of `corpus` under function
-/// `func`, in parallel across texts. When `base_rows` is enabled (C-MinHash
-/// builds), the hash row of each text is derived from its precomputed base
-/// row — the single σ pass shared by all k functions — instead of hashing
-/// the tokens again. Output order is unspecified, and the downstream sort
-/// by KeyedWindowLess (a total order) makes the emitted index bytes
-/// independent of it.
-void GenerateFunctionWindows(const Corpus& corpus, const SketchScheme& scheme,
-                             const CorpusBaseRows& base_rows, uint32_t func,
-                             const IndexBuildOptions& options,
-                             std::vector<KeyedWindow>* out) {
-  const size_t num_texts = corpus.num_texts();
-  const size_t num_threads = std::max<size_t>(1, options.num_threads);
-  auto generate_range = [&](size_t begin, size_t end,
-                            std::vector<KeyedWindow>* sink) {
-    WindowGenerator generator(options.window_method, options.rmq_kind);
-    std::vector<CompactWindow> windows;
-    for (size_t i = begin; i < end; ++i) {
-      const std::span<const Token> text = corpus.text(i);
-      windows.clear();
-      if (base_rows.enabled()) {
-        generator.GenerateFromBase(scheme, func, base_rows.row(i), options.t,
-                                   &windows);
-      } else {
-        generator.Generate(scheme, func, text, options.t, &windows);
-      }
-      const TextId id = corpus.base_id() + static_cast<TextId>(i);
-      for (const CompactWindow& w : windows) {
-        sink->push_back(KeyedWindow{text[w.c], id, w.l, w.c, w.r});
-      }
+/// One build worker's private state: ordering scratch, the current
+/// function's windows, and stats summed into the build's after the join.
+struct FunctionWorker {
+  explicit FunctionWorker(const IndexBuildOptions& options)
+      : generator(options.window_method, options.rmq_kind) {}
+
+  OrderedWindowGenerator generator;
+  std::vector<KeyedWindow> windows;
+  IndexBuildStats stats;
+};
+
+/// The workers of a function-parallel build: min(num_threads, k).
+std::vector<FunctionWorker> MakeWorkers(const IndexBuildOptions& options) {
+  return std::vector<FunctionWorker>(
+      std::clamp<size_t>(options.num_threads, 1, options.k),
+      FunctionWorker(options));
+}
+
+/// Runs `body(worker, func)` for every function in [0, k): worker w of W
+/// takes functions w, w + W, w + 2W, ... in order and stops at its first
+/// error. A single worker runs on the calling thread. Returns the lowest
+/// failing function's status.
+Status ForEachFunction(
+    uint32_t k, std::vector<FunctionWorker>* workers,
+    const std::function<Status(FunctionWorker& worker, uint32_t func)>&
+        body) {
+  const size_t num_workers = workers->size();
+  std::vector<Status> statuses(k);
+  ParallelFor(num_workers, num_workers, [&](size_t w) {
+    for (size_t func = w; func < k; func += num_workers) {
+      statuses[func] = body((*workers)[w], static_cast<uint32_t>(func));
+      if (!statuses[func].ok()) return;
     }
-  };
-  if (num_threads == 1) {
-    generate_range(0, num_texts, out);
-    return;
-  }
-  // Each thread fills a private buffer (the paper's parallel build); buffers
-  // are concatenated afterwards.
-  std::vector<std::vector<KeyedWindow>> buffers(num_threads);
-  const size_t chunk = (num_texts + num_threads - 1) / num_threads;
-  ParallelFor(num_threads, num_threads, [&](size_t th) {
-    const size_t begin = th * chunk;
-    const size_t end = std::min(num_texts, begin + chunk);
-    generate_range(begin, end, &buffers[th]);
   });
-  for (auto& buffer : buffers) {
-    out->insert(out->end(), buffer.begin(), buffer.end());
+  for (Status& status : statuses) {
+    if (!status.ok()) return status;
+  }
+  return Status::OK();
+}
+
+void AddWorkerStats(const std::vector<FunctionWorker>& workers,
+                    IndexBuildStats* stats) {
+  for (const FunctionWorker& worker : workers) {
+    stats->num_windows += worker.stats.num_windows;
+    stats->index_bytes += worker.stats.index_bytes;
+    stats->spill_bytes += worker.stats.spill_bytes;
+    stats->generate_seconds += worker.stats.generate_seconds;
+    stats->sort_seconds += worker.stats.sort_seconds;
+    stats->io_seconds += worker.stats.io_seconds;
   }
 }
 
@@ -116,31 +120,39 @@ Result<IndexBuildStats> BuildIndexInMemory(const Corpus& corpus,
       CorpusBaseRows::Build(scheme, corpus, options.num_threads);
   stats.generate_seconds += base_phase.ElapsedSeconds();
 
-  std::vector<KeyedWindow> windows;
-  for (uint32_t func = 0; func < options.k; ++func) {
-    Stopwatch phase;
-    windows.clear();
-    GenerateFunctionWindows(corpus, scheme, base_rows, func, options,
-                            &windows);
-    stats.generate_seconds += phase.ElapsedSeconds();
+  // The k functions are independent (Algorithm 1): each worker generates,
+  // orders and writes whole inverted.<f>.ndx files with its own buffers and
+  // writer, sharing only the read-only corpus, scheme and base rows.
+  std::vector<FunctionWorker> workers = MakeWorkers(options);
+  NDSS_RETURN_NOT_OK(ForEachFunction(
+      options.k, &workers,
+      [&](FunctionWorker& worker, uint32_t func) -> Status {
+        Stopwatch phase;
+        worker.windows.clear();
+        worker.generator.AppendInTextOrder(corpus, scheme, &base_rows, func,
+                                           options.t, &worker.windows);
+        worker.stats.generate_seconds += phase.ElapsedSeconds();
 
-    phase.Restart();
-    std::sort(windows.begin(), windows.end(), KeyedWindowLess);
-    stats.sort_seconds += phase.ElapsedSeconds();
+        phase.Restart();
+        worker.generator.SortByKey(&worker.windows);
+        worker.stats.sort_seconds += phase.ElapsedSeconds();
 
-    phase.Restart();
-    NDSS_ASSIGN_OR_RETURN(
-        InvertedIndexWriter writer,
-        InvertedIndexWriter::Create(IndexMeta::InvertedIndexPath(dir, func),
-                                    func, options.zone_step,
-                                    options.zone_threshold,
-                                    options.posting_format));
-    NDSS_RETURN_NOT_OK(writer.WriteSorted(windows.data(), windows.size()));
-    NDSS_RETURN_NOT_OK(writer.Finish());
-    stats.io_seconds += phase.ElapsedSeconds();
-    stats.num_windows += windows.size();
-    stats.index_bytes += writer.bytes_written();
-  }
+        phase.Restart();
+        NDSS_ASSIGN_OR_RETURN(
+            InvertedIndexWriter writer,
+            InvertedIndexWriter::Create(IndexMeta::InvertedIndexPath(dir, func),
+                                        func, options.zone_step,
+                                        options.zone_threshold,
+                                        options.posting_format));
+        NDSS_RETURN_NOT_OK(
+            writer.WriteSorted(worker.windows.data(), worker.windows.size()));
+        NDSS_RETURN_NOT_OK(writer.Finish());
+        worker.stats.io_seconds += phase.ElapsedSeconds();
+        worker.stats.num_windows += worker.windows.size();
+        worker.stats.index_bytes += writer.bytes_written();
+        return Status::OK();
+      }));
+  AddWorkerStats(workers, &stats);
 
   const IndexMeta meta =
       MakeMeta(options, corpus.num_texts(), corpus.total_tokens());
@@ -191,9 +203,10 @@ struct ExternalBuildContext {
   const IndexBuildOptions* options;
   std::string dir;
   IndexBuildStats* stats;
+  OrderedWindowGenerator* sorter;  // SortByKey scratch, reused per partition
 };
 
-/// Sorts and writes one partition's windows into `writer`, recursively
+/// Orders and writes one partition's windows into `writer`, recursively
 /// re-partitioning when the spill file exceeds the memory budget
 /// (Section 3.4's recursive partitioning).
 Status AggregatePartition(const ExternalBuildContext& ctx,
@@ -238,12 +251,19 @@ Status AggregatePartition(const ExternalBuildContext& ctx,
     }
     return Status::OK();
   }
-  // Fits (or recursion bottomed out): sort in memory and emit lists.
+  // Fits (or recursion bottomed out): order in memory and emit lists. The
+  // records are already in (text, l, r) order: phase 1 appends each
+  // function's windows in that order (texts in id order within a batch,
+  // batches in corpus order, each worker filling only its own functions'
+  // buffers), splitting by partition and flushing buffers in append mode
+  // both keep the relative order, and re-partitioning above streams the
+  // parent file front to back. So one stable sort by key yields
+  // KeyedWindowLess order (see OrderedWindowGenerator).
   Stopwatch phase;
   NDSS_ASSIGN_OR_RETURN(std::vector<KeyedWindow> records, LoadSpill(path));
   ctx.stats->io_seconds += phase.ElapsedSeconds();
   phase.Restart();
-  std::sort(records.begin(), records.end(), KeyedWindowLess);
+  ctx.sorter->SortByKey(&records);
   ctx.stats->sort_seconds += phase.ElapsedSeconds();
   phase.Restart();
   NDSS_RETURN_NOT_OK(writer->WriteSorted(records.data(), records.size()));
@@ -266,21 +286,25 @@ Result<IndexBuildStats> BuildIndexExternal(const std::string& corpus_path,
   const SketchScheme scheme(options.sketch, options.k, options.seed);
   Stopwatch total;
   IndexBuildStats stats;
-  ExternalBuildContext ctx{&options, dir, &stats};
+  OrderedWindowGenerator sorter;
+  ExternalBuildContext ctx{&options, dir, &stats, &sorter};
 
   NDSS_ASSIGN_OR_RETURN(CorpusFileReader corpus,
                         CorpusFileReader::Open(corpus_path));
 
   // Phase 1: stream batches, generate windows, spill by (func, partition).
-  // Buffers are flushed in append mode so only one spill file is open at a
-  // time regardless of k * num_partitions.
+  // The functions of a batch are generated in parallel; each worker owns
+  // its functions' buffers and spill files. Buffers are flushed in append
+  // mode so at most one spill file per worker is open at a time regardless
+  // of k * num_partitions.
   const uint32_t P = options.num_partitions;
   std::vector<std::vector<KeyedWindow>> spill_buffers(
       static_cast<size_t>(options.k) * P);
   // Flush a buffer once it holds ~4 MiB of records.
   const size_t flush_records = (4u << 20) / sizeof(KeyedWindow);
 
-  auto flush_buffer = [&](uint32_t func, uint32_t p) -> Status {
+  auto flush_buffer = [&](uint32_t func, uint32_t p,
+                          IndexBuildStats* flush_stats) -> Status {
     auto& buffer = spill_buffers[static_cast<size_t>(func) * P + p];
     if (buffer.empty()) return Status::OK();
     Stopwatch phase;
@@ -297,14 +321,14 @@ Result<IndexBuildStats> BuildIndexExternal(const std::string& corpus_path,
     NDSS_RETURN_NOT_OK(
         writer->Append(buffer.data(), buffer.size() * sizeof(KeyedWindow)));
     NDSS_RETURN_NOT_OK(writer->Close());
-    stats.spill_bytes += buffer.size() * sizeof(KeyedWindow);
-    stats.io_seconds += phase.ElapsedSeconds();
+    flush_stats->spill_bytes += buffer.size() * sizeof(KeyedWindow);
+    flush_stats->io_seconds += phase.ElapsedSeconds();
     buffer.clear();
     return Status::OK();
   };
 
   NDSS_RETURN_NOT_OK(corpus.SeekToStart());
-  std::vector<KeyedWindow> generated;
+  std::vector<FunctionWorker> workers = MakeWorkers(options);
   for (;;) {
     NDSS_ASSIGN_OR_RETURN(Corpus batch, corpus.ReadBatch(options.batch_tokens));
     if (batch.empty()) break;
@@ -315,25 +339,29 @@ Result<IndexBuildStats> BuildIndexExternal(const std::string& corpus_path,
     const CorpusBaseRows base_rows =
         CorpusBaseRows::Build(scheme, batch, options.num_threads);
     stats.generate_seconds += base_phase.ElapsedSeconds();
-    for (uint32_t func = 0; func < options.k; ++func) {
-      Stopwatch phase;
-      generated.clear();
-      GenerateFunctionWindows(batch, scheme, base_rows, func, options,
-                              &generated);
-      stats.generate_seconds += phase.ElapsedSeconds();
-      for (const KeyedWindow& w : generated) {
-        const uint32_t p = PartitionOf(w.key, P, 0);
-        auto& buffer = spill_buffers[static_cast<size_t>(func) * P + p];
-        buffer.push_back(w);
-        if (buffer.size() >= flush_records) {
-          NDSS_RETURN_NOT_OK(flush_buffer(func, p));
-        }
-      }
-    }
+    NDSS_RETURN_NOT_OK(ForEachFunction(
+        options.k, &workers,
+        [&](FunctionWorker& worker, uint32_t func) -> Status {
+          Stopwatch phase;
+          worker.windows.clear();
+          worker.generator.AppendInTextOrder(batch, scheme, &base_rows, func,
+                                             options.t, &worker.windows);
+          worker.stats.generate_seconds += phase.ElapsedSeconds();
+          for (const KeyedWindow& w : worker.windows) {
+            const uint32_t p = PartitionOf(w.key, P, 0);
+            auto& buffer = spill_buffers[static_cast<size_t>(func) * P + p];
+            buffer.push_back(w);
+            if (buffer.size() >= flush_records) {
+              NDSS_RETURN_NOT_OK(flush_buffer(func, p, &worker.stats));
+            }
+          }
+          return Status::OK();
+        }));
   }
+  AddWorkerStats(workers, &stats);
   for (uint32_t func = 0; func < options.k; ++func) {
     for (uint32_t p = 0; p < P; ++p) {
-      NDSS_RETURN_NOT_OK(flush_buffer(func, p));
+      NDSS_RETURN_NOT_OK(flush_buffer(func, p, &stats));
     }
   }
 

@@ -41,7 +41,9 @@ struct IndexBuildOptions {
   /// bench_ablation_compression).
   index_format::PostingFormat posting_format = index_format::kFormatRaw;
 
-  /// Worker threads for compact-window generation.
+  /// Worker threads. The k functions are built in parallel on
+  /// min(num_threads, k) workers, each generating, ordering and writing whole
+  /// functions; the C-MinHash base-row pass splits the texts instead.
   size_t num_threads = 1;
 
   /// How windows are generated (paper's RMQ divide-and-conquer or the
@@ -62,19 +64,30 @@ struct IndexBuildOptions {
 };
 
 /// Measurements from one index build; these feed the Figure 2 experiments.
+///
+/// The three phase times are thread-seconds: each function's time in the
+/// phase, summed over all functions and workers, so with num_threads > 1
+/// they add up to more than total_seconds. generate_seconds also holds the
+/// wall time of the C-MinHash base-row pass, which runs before the
+/// per-function work.
 struct IndexBuildStats {
   uint64_t num_windows = 0;     ///< total compact windows across all k files
   uint64_t index_bytes = 0;     ///< total bytes of the k inverted files
   uint64_t spill_bytes = 0;     ///< spill traffic of the out-of-core build
-  double generate_seconds = 0;  ///< hashing + window generation (CPU)
-  double sort_seconds = 0;      ///< window sorting (CPU)
+  double generate_seconds = 0;  ///< hashing + window generation
+  double sort_seconds = 0;      ///< ordering windows by key
   double io_seconds = 0;        ///< index/spill file writing
   double total_seconds = 0;     ///< wall clock of the whole build
 };
 
 /// Builds the k inverted-index files for an in-memory corpus into directory
-/// `dir` (created if needed). One hash function is processed at a time, so
-/// peak memory is one function's windows — the paper's medium-corpus path.
+/// `dir` (created if needed) — the paper's medium-corpus path. Functions are
+/// built in parallel on min(num_threads, k) workers; each holds one
+/// function's windows plus equal-sized ordering scratch, so peak memory is
+/// about 2 * workers function-sized window vectors. The index bytes do not
+/// depend on num_threads. The meta file and the CURRENT marker are written
+/// only after every function's file is published; on failure the lowest
+/// failing function's status is returned.
 Result<IndexBuildStats> BuildIndexInMemory(const Corpus& corpus,
                                            const std::string& dir,
                                            const IndexBuildOptions& options);

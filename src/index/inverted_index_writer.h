@@ -41,7 +41,7 @@ namespace ndss {
 ///
 /// Lists may be fed in any key order (the directory is sorted at Finish)
 /// but keys must be distinct, and windows within a list must be sorted by
-/// (text, l) — the builders guarantee this by sorting KeyedWindows first.
+/// (text, l) — the builders guarantee this by ordering KeyedWindows first.
 class InvertedIndexWriter {
  public:
   static Result<InvertedIndexWriter> Create(
@@ -63,8 +63,8 @@ class InvertedIndexWriter {
   Status AddWindows(const PostedWindow* windows, size_t count);
 
   /// Convenience for builders: writes an entire sorted KeyedWindow array
-  /// (grouped by key) in one pass. The array must be sorted with
-  /// KeyedWindowLess.
+  /// (grouped by key) in one pass. The array must be in KeyedWindowLess
+  /// order.
   Status WriteSorted(const KeyedWindow* windows, size_t count);
 
   /// Closes the current list, writes zones/directory/footer, fsyncs, and

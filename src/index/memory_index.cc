@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/query_context.h"
+#include "index/ordered_windows.h"
 
 namespace ndss {
 
@@ -11,24 +12,9 @@ InMemoryInvertedIndex::InMemoryInvertedIndex(const Corpus& corpus,
                                              uint32_t func, uint32_t t,
                                              WindowGenMethod method,
                                              const CorpusBaseRows* base_rows) {
-  WindowGenerator generator(method);
-  std::vector<CompactWindow> scratch;
   std::vector<KeyedWindow> keyed;
-  const bool from_base = base_rows != nullptr && base_rows->enabled();
-  for (size_t i = 0; i < corpus.num_texts(); ++i) {
-    const std::span<const Token> text = corpus.text(i);
-    scratch.clear();
-    if (from_base) {
-      generator.GenerateFromBase(scheme, func, base_rows->row(i), t, &scratch);
-    } else {
-      generator.Generate(scheme, func, text, t, &scratch);
-    }
-    const TextId id = corpus.base_id() + static_cast<TextId>(i);
-    for (const CompactWindow& w : scratch) {
-      keyed.push_back(KeyedWindow{text[w.c], id, w.l, w.c, w.r});
-    }
-  }
-  std::sort(keyed.begin(), keyed.end(), KeyedWindowLess);
+  OrderedWindowGenerator(method).Generate(corpus, scheme, base_rows, func, t,
+                                          &keyed);
 
   windows_.reserve(keyed.size());
   size_t i = 0;

@@ -26,7 +26,7 @@ static_assert(sizeof(PostedWindow) == 16, "PostedWindow must be 16 bytes");
 
 /// A window tagged with its inverted-list key (the token whose hash is the
 /// window's min-hash). The unit of the build pipeline: generation emits
-/// KeyedWindows, the builders sort them by (key, text, l) and strip the key
+/// KeyedWindows, the builders order them by (key, text, l) and strip the key
 /// into the list directory.
 struct KeyedWindow {
   Token key;
@@ -45,8 +45,9 @@ struct KeyedWindow {
 
 static_assert(sizeof(KeyedWindow) == 20, "KeyedWindow must be 20 bytes");
 
-/// Ordering used everywhere windows are sorted: by key, then text, then
-/// start position.
+/// The order every inverted list is written in: by key, then text, then
+/// start, then end position. The builders reach it without a comparison
+/// sort (OrderedWindowGenerator).
 inline bool KeyedWindowLess(const KeyedWindow& a, const KeyedWindow& b) {
   if (a.key != b.key) return a.key < b.key;
   if (a.text != b.text) return a.text < b.text;

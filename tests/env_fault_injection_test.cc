@@ -150,6 +150,64 @@ TEST_F(EnvFaultInjectionTest, CrashSweepInMemoryBuild) {
   EXPECT_GT(failed_opens_, 0);
 }
 
+TEST_F(EnvFaultInjectionTest, CrashSweepParallelInMemoryBuild) {
+  // Three workers (k = 3) write their functions' files concurrently, so the
+  // op order differs from run to run, but not the op count. Whatever
+  // operation a crash lands on, the directory must either refuse to open
+  // or answer exactly like the baseline.
+  build_.num_threads = 4;
+  const std::string clean_dir = dir_ + "/clean";
+  fault_->ResetOpCount();
+  ASSERT_TRUE(BuildIndexInMemory(sc_.corpus, clean_dir, build_).ok());
+  const int64_t total_ops = fault_->op_count();
+  ASSERT_GT(total_ops, 20);
+
+  auto clean = Searcher::Open(clean_dir);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  auto baseline = RunQueries(*clean, Queries());
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+
+  const auto build = [&](const std::string& out) {
+    return BuildIndexInMemory(sc_.corpus, out, build_).status();
+  };
+  for (int64_t op = 0; op < total_ops; ++op) {
+    CheckCrashPoint(op, build, *baseline);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(failed_opens_, 0);
+}
+
+TEST_F(EnvFaultInjectionTest, ParallelBuildFaultReturnsErrorAndNoMarker) {
+  build_.num_threads = 4;
+  const std::string idx = dir_ + "/idx";
+  fault_->ResetOpCount();
+  ASSERT_TRUE(BuildIndexInMemory(sc_.corpus, idx, build_).ok());
+  const int64_t total_ops = fault_->op_count();
+
+  // One failed operation in the middle of the build lands in some worker's
+  // inverted-file writes: the build reports it and publishes no marker.
+  for (int64_t op = total_ops / 4; op < 3 * total_ops / 4; ++op) {
+    SCOPED_TRACE("fault at op " + std::to_string(op));
+    fault_->ResetOpCount();
+    fault_->FailAtOp(op);
+    const Status status = BuildIndexInMemory(sc_.corpus, idx, build_).status();
+    fault_->Heal();
+    EXPECT_TRUE(status.IsIOError()) << status.ToString();
+    EXPECT_FALSE(FileExists(IndexCommitMarkerPath(idx)));
+    EXPECT_FALSE(Searcher::Open(idx).ok());
+  }
+
+  // When every function fails, the lowest function's error is returned.
+  fault_->SetFaultPathFilter("/inverted.");
+  fault_->SetFailProbability(1.0);
+  const Status all_failed = BuildIndexInMemory(sc_.corpus, idx, build_).status();
+  fault_->Heal();
+  ASSERT_FALSE(all_failed.ok());
+  EXPECT_NE(all_failed.ToString().find("/inverted.0.ndx"), std::string::npos)
+      << all_failed.ToString();
+  EXPECT_FALSE(FileExists(IndexCommitMarkerPath(idx)));
+}
+
 TEST_F(EnvFaultInjectionTest, CrashSweepExternalBuild) {
   // Force the spill path: tiny memory budget and batches.
   build_.memory_budget_bytes = 1 << 16;

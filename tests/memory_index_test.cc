@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "corpusgen/synthetic.h"
 #include "index/index_builder.h"
+#include "index/inverted_index_reader.h"
 #include "query/searcher.h"
 
 namespace ndss {
@@ -126,6 +129,64 @@ TEST(InMemoryIndexTest, PrefixFilterPathWorksInMemory) {
   auto b = searcher->Search(query, without_filter);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->rectangles.size(), b->rectangles.size());
+}
+
+TEST(InMemoryIndexTest, ListsEqualDiskListsOnTinyVocab) {
+  // Eight tokens: every text holds many windows of one key, so the order
+  // inside each (key, text) run is exercised hard.
+  SyntheticCorpusOptions corpus_options;
+  corpus_options.num_texts = 24;
+  corpus_options.min_text_length = 20;
+  corpus_options.max_text_length = 120;
+  corpus_options.vocab_size = 8;
+  corpus_options.min_plant_length = 10;
+  corpus_options.max_plant_length = 30;
+  corpus_options.seed = 9;
+  const Corpus corpus = GenerateSyntheticCorpus(corpus_options).corpus;
+  const std::string dir = ::testing::TempDir() + "/ndss_memidx_tiny";
+  for (SketchSchemeId sketch :
+       {SketchSchemeId::kIndependent, SketchSchemeId::kCMinHash}) {
+    for (WindowGenMethod method : {WindowGenMethod::kMonotonicStack,
+                                   WindowGenMethod::kRmqDivideConquer}) {
+      for (uint32_t t : {1u, 15u}) {
+        SCOPED_TRACE(std::string(SketchSchemeName(sketch)) + " method=" +
+                     std::to_string(static_cast<int>(method)) +
+                     " t=" + std::to_string(t));
+        std::filesystem::remove_all(dir);
+        IndexBuildOptions build;
+        build.k = 3;
+        build.t = t;
+        build.sketch = sketch;
+        build.window_method = method;
+        build.num_threads = 3;
+        ASSERT_TRUE(BuildIndexInMemory(corpus, dir, build).ok());
+        const SketchScheme scheme(sketch, build.k, build.seed);
+        const CorpusBaseRows base_rows =
+            CorpusBaseRows::Build(scheme, corpus, 1);
+        for (uint32_t func = 0; func < build.k; ++func) {
+          auto disk =
+              InvertedIndexReader::Open(IndexMeta::InvertedIndexPath(dir, func));
+          ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+          const CorpusBaseRows* const row_choices[] = {&base_rows, nullptr};
+          for (const CorpusBaseRows* rows : row_choices) {
+            InMemoryInvertedIndex memory(corpus, scheme, func, t, method, rows);
+            ASSERT_EQ(memory.directory().size(), disk->directory().size());
+            for (size_t i = 0; i < disk->directory().size(); ++i) {
+              const ListMeta& want = disk->directory()[i];
+              const ListMeta& got = memory.directory()[i];
+              ASSERT_EQ(got.key, want.key);
+              std::vector<PostedWindow> want_list, got_list;
+              ASSERT_TRUE(disk->ReadList(want, &want_list).ok());
+              ASSERT_TRUE(memory.ReadList(got, &got_list).ok());
+              EXPECT_EQ(got_list, want_list)
+                  << "func " << func << " key " << want.key;
+            }
+          }
+        }
+      }
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(InMemoryIndexTest, InvalidOptionsRejected) {

@@ -59,9 +59,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats->num_windows));
   std::printf("  index size : %.2f MB\n", stats->index_bytes / 1e6);
   std::printf("  spill      : %.2f MB\n", stats->spill_bytes / 1e6);
-  std::printf("  generation : %.3f s\n", stats->generate_seconds);
-  std::printf("  sort       : %.3f s\n", stats->sort_seconds);
-  std::printf("  io         : %.3f s\n", stats->io_seconds);
-  std::printf("  total      : %.3f s\n", stats->total_seconds);
+  // The phase times are thread-seconds summed over the build's workers;
+  // only the total is wall time.
+  std::printf("  generation : %.3f thread-s\n", stats->generate_seconds);
+  std::printf("  sort       : %.3f thread-s\n", stats->sort_seconds);
+  std::printf("  io         : %.3f thread-s\n", stats->io_seconds);
+  std::printf("  total      : %.3f s (wall)\n", stats->total_seconds);
   return 0;
 }
