@@ -268,7 +268,7 @@ void BenchDecode(bool quick, std::vector<KernelReport>* kernels) {
   };
   std::vector<Variant> variants = {{"decode_block", &DecodeWindowRun},
                                    {"decode_scalar", &DecodeWindowRunScalar}};
-#if defined(NDSS_VARINT_SIMD)
+#if defined(NDSS_VARINT_WORD)
   if (WordWindowDecodeSupported()) {
     variants.push_back({"decode_word", &DecodeWindowRunWord});
   }

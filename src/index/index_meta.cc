@@ -38,8 +38,11 @@ Status IndexMeta::Save(const std::string& dir) const {
 }
 
 Result<IndexMeta> IndexMeta::Load(const std::string& dir) {
-  NDSS_ASSIGN_OR_RETURN(std::string data,
-                        ReadFileToString(dir + "/index.meta"));
+  // Read in place: moving the bytes out of the Result trips gcc's
+  // -Wmaybe-uninitialized on the moved string's inline buffer.
+  Result<std::string> read = ReadFileToString(dir + "/index.meta");
+  if (!read.ok()) return read.status();
+  const std::string& data = *read;
   if (data.size() >= 8 && DecodeFixed64(data.data()) == kMetaMagicV1) {
     return Status::InvalidArgument(
         "index meta in " + dir +

@@ -8,7 +8,7 @@
 
 #include "common/coding.h"
 #include "index/posting.h"
-#include "index/varint_simd.h"
+#include "index/varint_word.h"
 
 namespace ndss {
 
@@ -21,7 +21,7 @@ inline constexpr size_t kWindowMaxEncodedBytes = 4 * kMaxVarint32Bytes;
 /// the chunk is provably in bounds — one range check per chunk instead of
 /// four per window — using the unrolled GetVarint32Unchecked; the last few
 /// windows near `limit` fall back to the bounds-checked decoder. Kept as
-/// the portable fallback of the word path (varint_simd.h) and as a test
+/// the portable fallback of the word path (varint_word.h) and as a test
 /// target in its own right.
 inline const char* DecodeWindowRunScalar(const char* p, const char* limit,
                                          uint64_t max_windows,
@@ -37,16 +37,10 @@ inline const char* DecodeWindowRunScalar(const char* p, const char* limit,
     if (chunk == 0) {
       // Tail: fewer than kWindowMaxEncodedBytes remain, so this window may
       // straddle the end of the buffer — decode it checked.
-      uint32_t text_field, l, c_delta, r_delta;
-      const char* q = GetVarint32(p, limit, &text_field);
-      if (q != nullptr) q = GetVarint32(q, limit, &l);
-      if (q != nullptr) q = GetVarint32(q, limit, &c_delta);
-      if (q != nullptr) q = GetVarint32(q, limit, &r_delta);
-      if (q == nullptr) return nullptr;
-      p = q;
-      const uint32_t text = n == 0 ? text_field : prev_text + text_field;
-      prev_text = text;
-      out[n++] = PostedWindow{text, l, l + c_delta, l + c_delta + r_delta};
+      if (!varint_internal::DecodeOneWindowChecked(&p, limit, &prev_text, &n,
+                                                   out)) {
+        return nullptr;
+      }
       continue;
     }
     for (uint64_t i = 0; i < chunk; ++i) {
@@ -88,7 +82,7 @@ namespace varint_internal {
 /// faster — the cost is a few hundred microseconds, paid on the first
 /// posting-list read. CPUs without BMI2 always get the scalar path.
 inline WindowDecodeFn ChooseWindowDecode() {
-#if defined(NDSS_VARINT_SIMD)
+#if defined(NDSS_VARINT_WORD)
   if (!WordWindowDecodeSupported()) return &DecodeWindowRunScalar;
   // Calibration stream: runs of 64 windows with posting-like magnitudes
   // (small text deltas, multi-byte l, small interval deltas), mirroring
@@ -157,7 +151,7 @@ inline WindowDecodeFn ActiveWindowDecode() {
 
 /// Name of the dispatched path, for bench reports and status endpoints.
 inline const char* WindowDecodePathName() {
-#if defined(NDSS_VARINT_SIMD)
+#if defined(NDSS_VARINT_WORD)
   return ActiveWindowDecode() == &DecodeWindowRunWord ? "word" : "scalar";
 #else
   return "scalar";
@@ -169,7 +163,7 @@ inline const char* WindowDecodePathName() {
 /// the run carries an absolute text id (a restart point); later windows
 /// delta-encode it. Per-window fields are (text field, l, c - l, r - c).
 ///
-/// Dispatches to the word-at-a-time pext decoder (varint_simd.h) or the
+/// Dispatches to the word-at-a-time pext decoder (varint_word.h) or the
 /// scalar chunked decoder above — a runtime CPU check plus a one-time
 /// calibration race (see ChooseWindowDecode). Both paths are bit-identical
 /// to the

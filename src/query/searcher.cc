@@ -5,8 +5,8 @@
 #include <cmath>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
-#include <unordered_map>
 
 #include <chrono>
 
@@ -357,132 +357,22 @@ std::vector<MatchSpan> MergeRectangles(
   return spans;
 }
 
-/// Per-batch cache of fully read pass-1 lists, keyed by (func, min-hash
-/// key). Bounded by a byte budget; lists beyond it are read directly.
-///
-/// Sharded for concurrent SearchBatch workers: a shard mutex only guards
-/// map lookup/insert, while each entry's std::once_flag serializes the
-/// actual disk read, preserving the batch guarantee that every distinct
-/// list is read at most once no matter how many threads want it. After
-/// call_once returns, the entry is immutable and read lock-free.
-struct Searcher::ListCache {
-  struct Entry {
-    std::once_flag once;
-    std::vector<PostedWindow> windows;
-    Status status = Status::OK();
-    bool stored = false;  ///< read succeeded and fit within the budget
-  };
-
-  /// Stored entries hold their Reserve charge until the batch ends; give it
-  /// back when the cache dies, or the bytes leak into the batch's inflight
-  /// budget ancestry (limits.inflight_parent) and strangle later batches.
-  /// Safe because the cache is declared after the inflight budget in
-  /// SearchBatch, so it is destroyed first.
-  ~ListCache() {
-    if (inflight != nullptr) {
-      inflight->Release(bytes.load(std::memory_order_relaxed));
-    }
-  }
-
-  static constexpr size_t kShards = 16;
-  struct Shard {
-    std::mutex mu;
-    std::unordered_map<uint64_t, std::shared_ptr<Entry>> map;
-  };
-  Shard shards[kShards];
-  std::atomic<uint64_t> bytes{0};
-  uint64_t budget = 0;
-  /// Optional batch-wide inflight budget (governed SearchBatch): cached
-  /// list bytes are accounted there alongside the per-query arenas.
-  MemoryBudget* inflight = nullptr;
-  /// Optional cross-query cache, consulted before this batch cache (see
-  /// BatchLimits::shared_cache). Lists it serves or loads never enter the
-  /// batch cache — the shared cache already dedupes the read.
-  CrossQueryListCache* shared = nullptr;
-  uint64_t shared_owner = 0;
-
-  static uint64_t Key(uint32_t func, Token token) {
-    return (static_cast<uint64_t>(func) << 32) | token;
-  }
-
-  std::shared_ptr<Entry> GetOrCreate(uint64_t key) {
-    Shard& shard = shards[key % kShards];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    std::shared_ptr<Entry>& entry = shard.map[key];
-    if (entry == nullptr) entry = std::make_shared<Entry>();
-    return entry;
-  }
-
-  /// Drops `key` iff it still maps to `entry`, so a later query can retry
-  /// the load. Used when a loader's own governance failure (deadline,
-  /// cancel, budget) poisoned the entry: that failure says nothing about
-  /// the list and must not fail other queries.
-  void Invalidate(uint64_t key, const std::shared_ptr<Entry>& entry) {
-    Shard& shard = shards[key % kShards];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end() && it->second == entry) shard.map.erase(it);
-  }
-
-  /// Reserves `size` bytes of the budget; false when it does not fit (or
-  /// the batch inflight cap is reached — the list is then read directly).
-  bool Reserve(uint64_t size) {
-    uint64_t current = bytes.load(std::memory_order_relaxed);
-    while (current + size <= budget) {
-      if (bytes.compare_exchange_weak(current, current + size,
-                                      std::memory_order_relaxed)) {
-        if (inflight != nullptr && !inflight->Charge(size).ok()) {
-          bytes.fetch_sub(size, std::memory_order_relaxed);
-          return false;
-        }
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void Unreserve(uint64_t size) {
-    bytes.fetch_sub(size, std::memory_order_relaxed);
-    if (inflight != nullptr) inflight->Release(size);
-  }
-};
-
 Result<SearchResult> Searcher::Search(std::span<const Token> query,
                                       const SearchOptions& options) {
   SearchResult result;
   NDSS_RETURN_NOT_OK(
-      SearchInternal(query, options, nullptr, nullptr, &result));
+      SearchInternal(query, options, {}, nullptr, &result));
   return result;
 }
 
 Status Searcher::Search(std::span<const Token> query,
                         const SearchOptions& options, const QueryContext* ctx,
-                        SearchResult* result) {
+                        SearchResult* result, ListCacheRef list_cache) {
   if (result == nullptr) {
     return Status::InvalidArgument("result must be non-null");
   }
   *result = SearchResult();
-  return SearchInternal(query, options, nullptr, ctx, result);
-}
-
-Status Searcher::Search(std::span<const Token> query,
-                        const SearchOptions& options, const QueryContext* ctx,
-                        CrossQueryListCache* shared_cache,
-                        uint64_t shared_cache_owner, SearchResult* result) {
-  if (result == nullptr) {
-    return Status::InvalidArgument("result must be non-null");
-  }
-  *result = SearchResult();
-  if (shared_cache == nullptr || shared_cache_owner == 0) {
-    return SearchInternal(query, options, nullptr, ctx, result);
-  }
-  // A budget-0 batch cache retains nothing itself (every Reserve fails, so
-  // lists the shared cache does not serve are read directly); it only
-  // carries the cross-query cache into the pass-1 loop.
-  ListCache cache;
-  cache.shared = shared_cache;
-  cache.shared_owner = shared_cache_owner;
-  return SearchInternal(query, options, &cache, ctx, result);
+  return SearchInternal(query, options, list_cache, ctx, result);
 }
 
 Result<std::vector<SearchResult>> Searcher::SearchBatch(
@@ -515,12 +405,15 @@ Result<BatchResult> Searcher::SearchBatch(
   // Unlimited (accounting only) unless max_inflight_bytes is set. A fan-out
   // layer may parent it so one cap spans every sub-batch.
   MemoryBudget inflight(limits.max_inflight_bytes, limits.inflight_parent);
-  ListCache cache;
-  cache.budget = cache_budget_bytes;
-  cache.inflight = &inflight;
-  if (limits.shared_cache != nullptr && limits.shared_cache_owner != 0) {
-    cache.shared = limits.shared_cache;
-    cache.shared_owner = limits.shared_cache_owner;
+  // Without a server-wide cache the batch gets its own, charged to the
+  // inflight budget; declared after it, so it is destroyed (and gives its
+  // bytes back) first.
+  ListCacheRef cache = limits.shared_cache;
+  const bool own_cache = !cache.enabled() && cache_budget_bytes > 0;
+  std::optional<CrossQueryListCache> batch_cache;
+  if (own_cache) {
+    batch_cache.emplace(cache_budget_bytes, &inflight);
+    cache = {&*batch_cache, /*owner=*/1};
   }
 
   const bool has_batch_deadline =
@@ -553,8 +446,14 @@ Result<BatchResult> Searcher::SearchBatch(
     }
     MemoryBudget arena(limits.max_query_bytes, &inflight);
     ctx.set_memory_budget(&arena);
+    SearchResult& result = batch.results[i];
     batch.statuses[i] =
-        SearchInternal(queries[i], options, &cache, &ctx, &batch.results[i]);
+        SearchInternal(queries[i], options, cache, &ctx, &result);
+    // Hits on the batch's own cache count as cache_hits; shared_cache_hits
+    // is kept for a server-wide cache.
+    if (own_cache) {
+      std::swap(result.stats.cache_hits, result.stats.shared_cache_hits);
+    }
   };
 
   if (num_threads <= 1 || queries.size() <= 1) {
@@ -603,8 +502,8 @@ Result<BatchResult> Searcher::SearchBatch(
 }
 
 Status Searcher::SearchInternal(std::span<const Token> query,
-                                const SearchOptions& options, ListCache* cache,
-                                const QueryContext* ctx,
+                                const SearchOptions& options,
+                                ListCacheRef cache, const QueryContext* ctx,
                                 SearchResult* result) {
   constexpr uint32_t kNoFunc = 0xffffffffu;
   Stopwatch wall;
@@ -634,7 +533,7 @@ Status Searcher::SearchInternal(std::span<const Token> query,
 }
 
 Status Searcher::SearchOnce(std::span<const Token> query,
-                            const SearchOptions& options, ListCache* cache,
+                            const SearchOptions& options, ListCacheRef cache,
                             const std::vector<InvertedListSource*>& sources,
                             const QueryContext* ctx, uint32_t* failed_func,
                             SearchResult* result_out) {
@@ -761,14 +660,22 @@ Status Searcher::SearchOnce(std::span<const Token> query,
   // have touched (the partial-stats contract).
   NDSS_RETURN_NOT_OK(CheckQueryContext(ctx));
 
-  // Pass 1: scan the short lists fully, through the batch cache if one is
-  // active (each distinct list is read from disk at most once per batch).
-  // A cached list is read in place, `pinned` keeping its entry alive; a
-  // direct read lands in the query's own buffer for that list.
+  // Pass 1: scan the short lists fully, through the list cache if one is
+  // enabled (a list is read once while it stays cached). A cached list is
+  // read in place, `pinned` keeping its entry alive; a direct read lands in
+  // the query's own buffer for that list.
   Stopwatch io;
   std::vector<std::span<const PostedWindow>> lists(short_lists.size());
   std::vector<std::shared_ptr<const void>> pinned;
   std::vector<std::vector<PostedWindow>> owned(short_lists.size());
+  // Reads and checks one whole list.
+  const auto read_list = [&](const ListRef& ref,
+                             std::vector<PostedWindow>* out) -> Status {
+    out->reserve(ref.meta->count);
+    NDSS_RETURN_NOT_OK(ReadListRetrying(sources[ref.func], *ref.meta, out,
+                                        &io_bytes, ctx, options.read_retry));
+    return CheckListTexts(*out, meta_.num_texts, ref.meta->key);
+  };
   for (size_t list = 0; list < short_lists.size(); ++list) {
     const ListRef& ref = short_lists[list];
     // Per-list checkpoint, plus the arena charge for the list's `count`
@@ -777,123 +684,56 @@ Status Searcher::SearchOnce(std::span<const Token> query,
     NDSS_RETURN_NOT_OK(CheckQueryContext(ctx));
     NDSS_RETURN_NOT_OK(
         arena.Charge(ref.meta->count * sizeof(PostedWindow)));
-    if (cache != nullptr && cache->shared != nullptr) {
-      // Cross-query cache first: one read serves every request that wants
-      // this list, across batches, until the owning source is retired.
-      CrossQueryListCache* shared = cache->shared;
-      const CrossQueryListCache::Key skey{
-          cache->shared_owner, ListCache::Key(ref.func, ref.meta->key)};
+    Status read;
+    if (cache.enabled()) {
+      const CrossQueryListCache::Key key{
+          cache.owner,
+          (static_cast<uint64_t>(ref.func) << 32) | ref.meta->key};
       std::shared_ptr<CrossQueryListCache::Entry> entry =
-          shared->GetOrCreate(skey);
+          cache.cache->GetOrCreate(key);
       bool loaded_here = false;
       std::call_once(entry->once, [&] {
         loaded_here = true;
-        shared->RecordMiss();
-        entry->windows.reserve(ref.meta->count);
-        entry->status = ReadListRetrying(sources[ref.func], *ref.meta,
-                                         &entry->windows, &io_bytes, ctx,
-                                         options.read_retry);
-        if (entry->status.ok()) {
-          entry->status = CheckListTexts(entry->windows, meta_.num_texts,
-                                         ref.meta->key);
-        }
+        cache.cache->RecordMiss();
+        entry->status = read_list(ref, &entry->windows);
         if (!entry->status.ok()) return;
         entry->bytes = entry->windows.size() * sizeof(PostedWindow) +
                        CrossQueryListCache::kEntryOverhead;
         entry->stored = true;
         // Retention is best-effort: a full budget serves this query (and
         // its waiters) from the loaded entry without keeping it.
-        shared->Commit(skey, entry);
+        cache.cache->Commit(key, entry);
       });
-      if (!entry->status.ok()) {
-        // Failed loads never stay cached: drop the key (iff it still maps
-        // to this entry) so a later query retries the read.
-        shared->Abandon(skey, entry);
-        if (IsGovernanceStatus(entry->status)) {
-          if (loaded_here) {
-            // This query's own limits aborted the load; that says nothing
-            // about the list.
-            return entry->status;
-          }
-          // Another query's limits poisoned the entry — fall through to
-          // the batch cache / direct read.
-        } else {
-          // A bad list fails every query that touched the entry the same
-          // way, so degraded retries agree on which function to drop.
-          if (entry->status.IsCorruption()) *failed_func = ref.func;
-          return entry->status;
-        }
-      } else if (entry->stored) {
+      if (entry->stored) {
         lists[list] = entry->windows;
         pinned.push_back(entry);
         if (!loaded_here) {
-          // The hit belongs to the query that avoided the read; the
-          // loader already counted the miss and its io_bytes.
+          // The hit belongs to the query that avoided the read; the loader
+          // already counted the miss and its io_bytes.
           ++result.stats.shared_cache_hits;
-          shared->RecordHit();
+          cache.cache->RecordHit();
         }
         continue;
       }
-    }
-    if (cache != nullptr) {
-      const uint64_t key = ListCache::Key(ref.func, ref.meta->key);
-      std::shared_ptr<ListCache::Entry> entry = cache->GetOrCreate(key);
-      bool loaded_here = false;
-      std::call_once(entry->once, [&] {
-        loaded_here = true;
-        const uint64_t list_bytes = ref.meta->count * sizeof(PostedWindow);
-        if (!cache->Reserve(list_bytes)) return;  // over budget: stays direct
-        entry->windows.reserve(ref.meta->count);
-        entry->status = ReadListRetrying(sources[ref.func], *ref.meta,
-                                         &entry->windows, &io_bytes, ctx,
-                                         options.read_retry);
-        if (entry->status.ok()) {
-          entry->status = CheckListTexts(entry->windows, meta_.num_texts,
-                                         ref.meta->key);
-        }
-        if (!entry->status.ok()) {
-          cache->Unreserve(list_bytes);
-          return;
-        }
-        entry->stored = true;
-      });
-      if (!entry->status.ok()) {
-        if (IsGovernanceStatus(entry->status)) {
-          if (loaded_here) {
-            // This query's own limits aborted the load. Drop the entry so
-            // a later query can retry the read.
-            cache->Invalidate(key, entry);
-            return entry->status;
-          }
-          // Another query's limits poisoned the entry; that says nothing
-          // about the list — read it directly.
-        } else {
-          // The loader (this query or another) hit a bad list; every query
-          // touching the entry fails the same way so degraded retries
-          // agree on which function to drop.
-          if (entry->status.IsCorruption()) *failed_func = ref.func;
-          return entry->status;
-        }
-      } else if (entry->stored) {
-        lists[list] = entry->windows;
-        pinned.push_back(entry);
-        if (!loaded_here) ++result.stats.cache_hits;
-        continue;
+      // Failed loads never stay cached: drop the key (iff it still maps to
+      // this entry) so a later query retries the read.
+      cache.cache->Abandon(key, entry);
+      // Another query's deadline, cancel or budget aborting the load says
+      // nothing about the list: read it directly. A bad list fails every
+      // query that touched its entry the same way, so degraded retries
+      // agree on which function to drop.
+      if (loaded_here || !IsGovernanceStatus(entry->status)) {
+        read = entry->status;
       }
-      // Over budget (or governance-poisoned by another query): fall
-      // through to an uncached direct read.
     }
-    owned[list].reserve(ref.meta->count);
-    Status read = ReadListRetrying(sources[ref.func], *ref.meta, &owned[list],
-                                   &io_bytes, ctx, options.read_retry);
     if (read.ok()) {
-      read = CheckListTexts(owned[list], meta_.num_texts, ref.meta->key);
+      read = read_list(ref, &owned[list]);
+      lists[list] = owned[list];
     }
     if (!read.ok()) {
       if (read.IsCorruption()) *failed_func = ref.func;
       return read;
     }
-    lists[list] = owned[list];
   }
   uint64_t pass1_windows = 0;
   for (std::span<const PostedWindow> windows : lists) {

@@ -24,6 +24,16 @@ namespace ndss {
 
 class CrossQueryListCache;
 
+/// A list cache (see CrossQueryListCache) plus the immutable-source id
+/// that names one Searcher's lists in its keyspace. Owner 0 means "no cache
+/// identity" and disables the cache, as does a null `cache`.
+struct ListCacheRef {
+  CrossQueryListCache* cache = nullptr;
+  uint64_t owner = 0;
+
+  bool enabled() const { return cache != nullptr && owner != 0; }
+};
+
 /// Options for one near-duplicate search.
 struct SearchOptions {
   /// Jaccard similarity threshold θ; a sequence qualifies when it shares at
@@ -102,7 +112,8 @@ struct SearchStats {
   uint32_t short_lists = 0;       ///< lists scanned fully (pass 1)
   uint32_t long_lists = 0;        ///< lists handled by zone-map probes
   uint32_t empty_lists = 0;       ///< query min-hash keys absent from index
-  uint32_t cache_hits = 0;        ///< pass-1 lists served from a batch cache
+  uint32_t cache_hits = 0;        ///< pass-1 lists served from the batch's
+                                  ///< own list cache (no IO)
   uint32_t shared_cache_hits = 0; ///< pass-1 lists served from the
                                   ///< cross-query list cache (no IO)
   uint64_t windows_scanned = 0;   ///< windows fed to CollisionCount
@@ -161,9 +172,10 @@ struct BatchLimits {
   /// ResourceExhausted; the rest of the batch is unaffected.
   uint64_t max_query_bytes = 0;
 
-  /// Cap on batch-wide in-flight memory: the shared list cache plus every
-  /// live query arena. Cache inserts beyond it fall back to direct reads;
-  /// query charges beyond it fail that query with ResourceExhausted.
+  /// Cap on batch-wide in-flight memory: the batch's list cache plus every
+  /// live query arena. Lists that would exceed it are served without being
+  /// retained; query charges beyond it fail that query with
+  /// ResourceExhausted.
   uint64_t max_inflight_bytes = 0;
 
   ShedPolicy shed_policy = ShedPolicy::kCancelRunning;
@@ -179,18 +191,16 @@ struct BatchLimits {
   bool has_batch_deadline = false;
   QueryContext::Clock::time_point batch_deadline{};
 
-  /// Optional parent of this batch's inflight budget (shared list cache +
+  /// Optional parent of this batch's inflight budget (batch list cache +
   /// live query arenas), so one cross-searcher cap spans every sub-batch.
   /// Observed, not owned; must outlive the SearchBatch call.
   MemoryBudget* inflight_parent = nullptr;
 
-  /// Optional cross-query list cache (see CrossQueryListCache): pass-1
-  /// lists are looked up there first, under `shared_cache_owner` — the
-  /// immutable-source id of the Searcher this batch runs against. Observed,
-  /// not owned; must outlive the SearchBatch call. Requires a non-zero
-  /// owner id (owner 0 means "no cache identity" and disables the lookup).
-  CrossQueryListCache* shared_cache = nullptr;
-  uint64_t shared_cache_owner = 0;
+  /// Optional server-wide list cache. When set, the batch reads its pass-1
+  /// lists through it instead of building a cache of its own, and
+  /// `cache_budget_bytes` goes unused. Observed, not owned; must outlive
+  /// the SearchBatch call.
+  ListCacheRef shared_cache;
 };
 
 /// Batch-level governance counters. `queries_degraded` counts ok queries
@@ -277,31 +287,29 @@ class Searcher {
   /// partial SearchStats (lists classified, bytes read, windows scanned so
   /// far) survive for observability, which the Result-returning overload
   /// cannot express.
-  Status Search(std::span<const Token> query, const SearchOptions& options,
-                const QueryContext* ctx, SearchResult* result);
-
-  /// Governed variant that additionally consults `shared_cache` for pass-1
-  /// lists under `shared_cache_owner` — the immutable-source id naming this
-  /// Searcher in the cache's keyspace (0 means "no cache identity" and
-  /// disables the lookup, making this identical to the overload above).
-  /// Matches and spans are bit-identical with or without the cache; only
+  ///
+  /// Pass-1 lists are read through `list_cache` when it is enabled.
+  /// Matches and spans are bit-identical with or without it; only the
   /// SearchStats IO attribution changes (a served list counts a
   /// shared_cache_hit instead of io_bytes).
   Status Search(std::span<const Token> query, const SearchOptions& options,
-                const QueryContext* ctx, CrossQueryListCache* shared_cache,
-                uint64_t shared_cache_owner, SearchResult* result);
+                const QueryContext* ctx, SearchResult* result,
+                ListCacheRef list_cache = {});
 
   /// Runs many queries with a shared pass-1 list cache: Zipfian token
-  /// skew makes nearby queries hit the same min-hash keys, so each
-  /// distinct list is read from disk at most once per batch (the workload
-  /// shape of the Section 5 evaluation, which issues one query per sliding
-  /// window). With `num_threads > 1` the queries are partitioned across an
-  /// internal thread pool; matches and spans are identical to the
-  /// sequential run and returned in input order. Per-query SearchStats
-  /// attribute each list read to the query that performed it (a cached
-  /// list's bytes are charged to the loader; later users count a
-  /// cache_hit), so aggregate batch cost is the element-wise sum of the
-  /// per-query stats regardless of thread count or scheduling.
+  /// skew makes nearby queries hit the same min-hash keys, so the batch
+  /// reads its lists through a CrossQueryListCache of `cache_budget_bytes`
+  /// that lives as long as the call (the workload shape of the Section 5
+  /// evaluation, which issues one query per sliding window). A list is read
+  /// once while it stays cached; past the budget, LRU eviction decides
+  /// which lists stay (0 reads every list directly). With
+  /// `num_threads > 1` the queries are partitioned across an internal
+  /// thread pool; matches and spans are identical to the sequential run
+  /// and returned in input order. Per-query SearchStats attribute each list
+  /// read to the query that performed it (a cached list's bytes are charged
+  /// to the loader; later users count a cache_hit), so aggregate batch cost
+  /// is the element-wise sum of the per-query stats regardless of thread
+  /// count or scheduling.
   ///
   /// On error the whole batch fails; with several failing queries the
   /// status of the lowest-index one is returned.
@@ -311,9 +319,11 @@ class Searcher {
       uint64_t cache_budget_bytes = 256ull << 20, size_t num_threads = 1);
 
   /// Governed batch: admission control and load shedding on top of the
-  /// shared-cache batch above. Every query runs under its own QueryContext
-  /// derived from `limits` (per-query deadline, per-query arena parented to
-  /// a batch-wide inflight budget); once the batch deadline passes,
+  /// cached batch above. `limits.shared_cache` swaps the batch's own cache
+  /// for a server-wide one, whose hits count shared_cache_hits. Every query
+  /// runs under its own QueryContext derived from `limits` (per-query
+  /// deadline, per-query arena parented to a batch-wide inflight budget);
+  /// once the batch deadline passes,
   /// unstarted queries are shed and — under ShedPolicy::kCancelRunning —
   /// in-flight ones stop at their next checkpoint, so total batch
   /// wall-clock stays within the deadline plus one checkpoint interval.
@@ -344,7 +354,6 @@ class Searcher {
   uint32_t degraded_funcs() const;
 
  private:
-  struct ListCache;
   struct DegradedState;
 
   Searcher(IndexMeta meta, SketchScheme scheme,
@@ -361,14 +370,14 @@ class Searcher {
   /// Full search (degraded retries included) writing into `*result`; on
   /// failure the partial stats computed so far are left in place.
   Status SearchInternal(std::span<const Token> query,
-                        const SearchOptions& options, ListCache* cache,
+                        const SearchOptions& options, ListCacheRef cache,
                         const QueryContext* ctx, SearchResult* result);
 
   /// One search attempt over the `sources` snapshot. On a list checksum
   /// failure, reports the offending function via `failed_func` so
   /// SearchInternal can drop it and retry when degradation is allowed.
   Status SearchOnce(std::span<const Token> query, const SearchOptions& options,
-                    ListCache* cache,
+                    ListCacheRef cache,
                     const std::vector<InvertedListSource*>& sources,
                     const QueryContext* ctx, uint32_t* failed_func,
                     SearchResult* result);

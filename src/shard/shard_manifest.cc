@@ -45,7 +45,11 @@ Status ShardManifest::Save(const std::string& set_dir) const {
 
 Result<ShardManifest> ShardManifest::Load(const std::string& set_dir) {
   const std::string path = Path(set_dir);
-  NDSS_ASSIGN_OR_RETURN(std::string data, ReadFileToString(path));
+  // Read in place: moving the bytes out of the Result trips gcc's
+  // -Wmaybe-uninitialized on the moved string's inline buffer.
+  Result<std::string> read = ReadFileToString(path);
+  if (!read.ok()) return read.status();
+  const std::string& data = *read;
   if (data.size() < kFixedPrefixV1 + kCrcSize) {
     return Status::Corruption("shard manifest truncated: " + path);
   }

@@ -467,15 +467,16 @@ Status ShardedSearcher::State::SearchImpl(std::span<const Token> query,
         is_delta ? topo->delta.get() : &*topo->shards[i]->searcher;
     // Each source looks up cached lists under its own immutable owner id
     // (a nullptr cache or id 0 degrades to the uncached path).
-    const uint64_t owner =
-        is_delta ? topo->delta_cache_owner : topo->shards[i]->cache_owner;
+    const ListCacheRef list_cache_ref{
+        cache,
+        is_delta ? topo->delta_cache_owner : topo->shards[i]->cache_owner};
     ShardOutcome& sub = subs[i];
     sub.ran = true;
     if (ctx == nullptr) {
       // Ungoverned fast path, bit-identical to the pre-governance shard
       // query.
-      sub.status = searcher->Search(query, search_options, nullptr, cache,
-                                    owner, &sub.result);
+      sub.status = searcher->Search(query, search_options, nullptr,
+                                    &sub.result, list_cache_ref);
       return;
     }
     // Hierarchical governance: the deadline and cancel flag are shared
@@ -487,8 +488,8 @@ Status ShardedSearcher::State::SearchImpl(std::span<const Token> query,
     child.set_cancel_flag(ctx->cancel_flag());
     MemoryBudget arena(0, ctx->memory_budget());
     if (ctx->memory_budget() != nullptr) child.set_memory_budget(&arena);
-    sub.status = searcher->Search(query, search_options, &child, cache, owner,
-                                  &sub.result);
+    sub.status = searcher->Search(query, search_options, &child, &sub.result,
+                                  list_cache_ref);
   });
   const Status status = GatherQuery(*topo, subs, result);
   result->stats.wall_seconds = wall.ElapsedSeconds();
@@ -548,11 +549,12 @@ Result<BatchResult> ShardedSearcher::State::SearchBatchImpl(
         is_delta ? topo->delta.get() : &*topo->shards[i]->searcher;
     // The cross-query cache rides the composed limits: each sub-batch gets
     // its source's immutable owner id, so shards never mix up each other's
-    // lists and a retired source's entries are unreachable.
+    // lists and a retired source's entries are unreachable. Without it,
+    // each sub-batch builds its own cache of `shard_cache_budget`.
     BatchLimits shard_limits = sub_limits;
-    shard_limits.shared_cache = cache;
-    shard_limits.shared_cache_owner =
-        is_delta ? topo->delta_cache_owner : topo->shards[i]->cache_owner;
+    shard_limits.shared_cache = {
+        cache,
+        is_delta ? topo->delta_cache_owner : topo->shards[i]->cache_owner};
     Result<BatchResult> sub =
         searcher->SearchBatch(queries, search_options, shard_limits,
                               shard_cache_budget, num_threads);

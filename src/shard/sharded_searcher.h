@@ -137,11 +137,13 @@ class ShardedSearcher {
   Status Search(std::span<const Token> query, const SearchOptions& options,
                 const QueryContext* ctx, SearchResult* result);
 
-  /// Batch scatter-gather: each shard runs the whole batch through its own
-  /// shared list cache (`cache_budget_bytes` is split evenly across
-  /// shards) with `num_threads` workers per shard, so total concurrency is
-  /// about shards x num_threads. Per-query results across shards are
-  /// merged exactly like Search. On error the whole batch fails with the
+  /// Batch scatter-gather: each shard runs the whole batch with
+  /// `num_threads` workers, so total concurrency is about shards x
+  /// num_threads. With the cross-query cache enabled (EnableListCache)
+  /// every shard reads its lists through it; otherwise each shard's
+  /// sub-batch gets a list cache of its own, `cache_budget_bytes` split
+  /// evenly across shards. Per-query results across shards are merged
+  /// exactly like Search. On error the whole batch fails with the
   /// lowest-index failing query's status.
   Result<std::vector<SearchResult>> SearchBatch(
       const std::vector<std::vector<Token>>& queries,

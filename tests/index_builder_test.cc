@@ -48,33 +48,38 @@ class IndexBuilderTest : public ::testing::Test {
     return options;
   }
 
-  /// Reads every window of every list of the index at `dir` as KeyedWindows.
+  /// Every window of the index at `dir` in file order: functions in turn,
+  /// then StoredWindows. Text ids are offset by func * 1000000, so windows
+  /// of different functions never compare equal.
   static std::vector<KeyedWindow> DumpIndex(const std::string& dir,
                                             uint32_t k) {
     std::vector<KeyedWindow> all;
     for (uint32_t func = 0; func < k; ++func) {
-      auto reader =
-          InvertedIndexReader::Open(IndexMeta::InvertedIndexPath(dir, func));
-      EXPECT_TRUE(reader.ok()) << reader.status().ToString();
-      for (const ListMeta& meta : reader->directory()) {
-        std::vector<PostedWindow> windows;
-        EXPECT_TRUE(reader->ReadList(meta, &windows).ok());
-        for (const PostedWindow& w : windows) {
-          // Tag func into the l... keep func implicit: fold func into key's
-          // upper bits is not possible (Token 32-bit); use separate vectors
-          // per func by offsetting text id instead.
-          all.push_back(KeyedWindow{meta.key, w.text + func * 1000000u, w.l,
-                                    w.c, w.r});
-        }
+      for (KeyedWindow w : StoredWindows(dir, func)) {
+        w.text += func * 1000000u;
+        all.push_back(w);
       }
     }
-    std::sort(all.begin(), all.end(), KeyedWindowLess);
+    return all;
+  }
+
+  /// What DumpIndex must read from any build of `corpus` with `options`:
+  /// ReferenceWindows of every function, offset like DumpIndex.
+  static std::vector<KeyedWindow> ReferenceDump(
+      const Corpus& corpus, const IndexBuildOptions& options) {
+    std::vector<KeyedWindow> all;
+    for (uint32_t func = 0; func < options.k; ++func) {
+      for (KeyedWindow w : ReferenceWindows(corpus, options, func)) {
+        w.text += func * 1000000u;
+        all.push_back(w);
+      }
+    }
     return all;
   }
 
   /// Function `func`'s windows exactly as stored: lists in directory
-  /// (key) order, windows in list order. Unlike DumpIndex nothing is
-  /// re-sorted, so a list written out of (text, l, r) order shows.
+  /// (key) order, windows in list order. Nothing is re-sorted, so a list
+  /// written out of (text, l, r) order shows.
   static std::vector<KeyedWindow> StoredWindows(const std::string& dir,
                                                 uint32_t func) {
     std::vector<KeyedWindow> stored;
@@ -180,6 +185,7 @@ TEST_F(IndexBuilderTest, IndexContainsExactlyTheGeneratedWindows) {
   WindowGenerator generator;
   std::vector<KeyedWindow> expected;
   for (uint32_t func = 0; func < options.k; ++func) {
+    const size_t func_begin = expected.size();
     for (size_t i = 0; i < corpus.num_texts(); ++i) {
       std::vector<CompactWindow> windows;
       generator.Generate(family, func, corpus.text(i), options.t, &windows);
@@ -190,8 +196,9 @@ TEST_F(IndexBuilderTest, IndexContainsExactlyTheGeneratedWindows) {
                                        w.l, w.c, w.r});
       }
     }
+    // File order: each function's lists by key, each list by (text, l, r).
+    std::sort(expected.begin() + func_begin, expected.end(), KeyedWindowLess);
   }
-  std::sort(expected.begin(), expected.end(), KeyedWindowLess);
   EXPECT_EQ(DumpIndex(dir_, options.k), expected);
   EXPECT_EQ(stats->num_windows, expected.size());
 }
@@ -205,7 +212,9 @@ TEST_F(IndexBuilderTest, ParallelBuildMatchesSerial) {
   const std::string parallel_dir = dir_ + "/parallel";
   ASSERT_TRUE(BuildIndexInMemory(corpus, serial_dir, serial).ok());
   ASSERT_TRUE(BuildIndexInMemory(corpus, parallel_dir, parallel).ok());
-  EXPECT_EQ(DumpIndex(serial_dir, serial.k), DumpIndex(parallel_dir, serial.k));
+  const std::vector<KeyedWindow> expected = ReferenceDump(corpus, serial);
+  EXPECT_EQ(DumpIndex(serial_dir, serial.k), expected);
+  EXPECT_EQ(DumpIndex(parallel_dir, serial.k), expected);
 }
 
 TEST_F(IndexBuilderTest, ExternalBuildMatchesInMemory) {
@@ -226,7 +235,9 @@ TEST_F(IndexBuilderTest, ExternalBuildMatchesInMemory) {
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_GT(stats->spill_bytes, 0u);
 
-  EXPECT_EQ(DumpIndex(mem_dir, options.k), DumpIndex(ext_dir, options.k));
+  const std::vector<KeyedWindow> expected = ReferenceDump(corpus, options);
+  EXPECT_EQ(DumpIndex(mem_dir, options.k), expected);
+  EXPECT_EQ(DumpIndex(ext_dir, options.k), expected);
 }
 
 TEST_F(IndexBuilderTest, ExternalBuildWithRecursivePartitioning) {
@@ -246,7 +257,9 @@ TEST_F(IndexBuilderTest, ExternalBuildWithRecursivePartitioning) {
   const std::string ext_dir = dir_ + "/ext";
   auto stats = BuildIndexExternal(corpus_path, ext_dir, external);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(DumpIndex(mem_dir, options.k), DumpIndex(ext_dir, options.k));
+  const std::vector<KeyedWindow> expected = ReferenceDump(corpus, options);
+  EXPECT_EQ(DumpIndex(mem_dir, options.k), expected);
+  EXPECT_EQ(DumpIndex(ext_dir, options.k), expected);
   // No spill files may remain.
   size_t spills = 0;
   for (const auto& entry : std::filesystem::directory_iterator(ext_dir)) {

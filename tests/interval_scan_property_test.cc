@@ -236,7 +236,7 @@ std::vector<NamedDecoder> DecodersUnderTest() {
   std::vector<NamedDecoder> decoders;
   decoders.push_back({"dispatched", &DecodeWindowRun});
   decoders.push_back({"scalar", &DecodeWindowRunScalar});
-#if defined(NDSS_VARINT_SIMD)
+#if defined(NDSS_VARINT_WORD)
   if (WordWindowDecodeSupported()) {
     decoders.push_back({"word", &DecodeWindowRunWord});
   }

@@ -264,6 +264,9 @@ TEST_F(ListCacheServingTest, CachedBatchesBitIdenticalAndHitOnRepeat) {
     EXPECT_EQ((*second)[q].stats.shared_cache_hits,
               static_cast<uint64_t>((*second)[q].stats.short_lists))
         << q;
+    // With a server cache the batch builds no cache of its own, so no hit
+    // is a batch-cache hit.
+    EXPECT_EQ((*second)[q].stats.cache_hits, 0u) << q;
   }
   EXPECT_GT(second_hits, 0u);
   const CrossQueryListCache* cache = cached->list_cache();

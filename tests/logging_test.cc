@@ -85,7 +85,7 @@ TEST(StopwatchTest, MeasuresNonNegativeMonotonicTime) {
   const double first = watch.ElapsedSeconds();
   EXPECT_GE(first, 0.0);
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   const double second = watch.ElapsedSeconds();
   EXPECT_GE(second, first);
   EXPECT_NEAR(watch.ElapsedMillis(), watch.ElapsedSeconds() * 1e3,

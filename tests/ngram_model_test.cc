@@ -152,9 +152,15 @@ TEST(NGramModelTest, BeamSearchFollowsDeterministicPattern) {
   // The corpus is "1 2 3" repeated; the most probable 12-token sequence
   // cycles through the pattern once started.
   for (size_t i = 2; i + 1 < text.size(); ++i) {
-    if (text[i] == 1) EXPECT_EQ(text[i + 1], 2u);
-    if (text[i] == 2) EXPECT_EQ(text[i + 1], 3u);
-    if (text[i] == 3) EXPECT_EQ(text[i + 1], 1u);
+    if (text[i] == 1) {
+      EXPECT_EQ(text[i + 1], 2u);
+    }
+    if (text[i] == 2) {
+      EXPECT_EQ(text[i + 1], 3u);
+    }
+    if (text[i] == 3) {
+      EXPECT_EQ(text[i + 1], 1u);
+    }
   }
 }
 

@@ -238,8 +238,8 @@ TEST_F(Pass1FilterTest, EveryPass1PathMatchesBruteForce) {
         ++owner;
         for (int pass = 0; pass < 2; ++pass) {
           SearchResult cached;
-          ASSERT_TRUE(disk->Search(queries[q], options, nullptr, &shared,
-                                   owner, &cached)
+          ASSERT_TRUE(disk->Search(queries[q], options, nullptr, &cached,
+                                   {&shared, owner})
                           .ok());
           EXPECT_EQ(Answer(cached), Answer(*direct)) << "pass " << pass;
           if (pass == 1) {
@@ -250,7 +250,8 @@ TEST_F(Pass1FilterTest, EveryPass1PathMatchesBruteForce) {
         reference.push_back(std::move(*direct));
       }
 
-      // Per-batch cache, sequential and across workers.
+      // The batch's own cache, sequential and across workers, then the
+      // batch over the server cache.
       for (size_t threads : {1, 3}) {
         auto batch = disk->SearchBatch(queries, options, 64 << 20, threads);
         ASSERT_TRUE(batch.ok()) << batch.status().ToString();
@@ -258,7 +259,18 @@ TEST_F(Pass1FilterTest, EveryPass1PathMatchesBruteForce) {
         for (size_t q = 0; q < queries.size(); ++q) {
           EXPECT_EQ(Answer((*batch)[q]), Answer(reference[q]))
               << "batch query " << q << " threads " << threads;
+          EXPECT_EQ((*batch)[q].stats.shared_cache_hits, 0u);
         }
+      }
+      BatchLimits limits;
+      limits.shared_cache = {&shared, ++owner};
+      auto batch = disk->SearchBatch(queries, options, limits, 64 << 20, 3);
+      ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+      for (size_t q = 0; q < queries.size(); ++q) {
+        ASSERT_TRUE(batch->statuses[q].ok()) << batch->statuses[q].ToString();
+        EXPECT_EQ(Answer(batch->results[q]), Answer(reference[q]))
+            << "server-cache batch query " << q;
+        EXPECT_EQ(batch->results[q].stats.cache_hits, 0u);
       }
     }
   }
@@ -667,8 +679,8 @@ TEST_F(Pass1FilterTest, BadTextIdInANonPrefixListIsCorruptionOnEveryPath) {
                      SearchResult* result) -> Status {
         if (path == 0) return searcher.Search(query, variant, nullptr, result);
         if (path == 1) {
-          return searcher.Search(query, variant, nullptr, &shared, ++owner,
-                                 result);
+          return searcher.Search(query, variant, nullptr, result,
+                                 {&shared, ++owner});
         }
         auto batch = searcher.SearchBatch({query, query}, variant,
                                           BatchLimits{}, 64 << 20, 2);
@@ -733,8 +745,8 @@ TEST_F(Pass1FilterTest, EdgeThresholdsMatchBruteForce) {
       ASSERT_TRUE(direct.ok()) << direct.status().ToString();
       EXPECT_EQ(ExpandRectangles(direct->rectangles), expected);
       SearchResult cached;
-      ASSERT_TRUE(disk->Search(queries[q], options, nullptr, &shared, ++owner,
-                               &cached)
+      ASSERT_TRUE(disk->Search(queries[q], options, nullptr, &cached,
+                               {&shared, ++owner})
                       .ok());
       EXPECT_EQ(Answer(cached), Answer(*direct));
       EXPECT_EQ(Answer((*batch)[q]), Answer(*direct));

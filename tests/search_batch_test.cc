@@ -9,6 +9,19 @@
 namespace ndss {
 namespace {
 
+/// Rectangles and spans of a result, for bit-identity comparisons.
+std::vector<uint64_t> Fingerprint(const SearchResult& result) {
+  std::vector<uint64_t> out;
+  for (const TextMatchRectangle& r : result.rectangles) {
+    out.insert(out.end(), {r.text, r.rect.x_begin, r.rect.x_end,
+                           r.rect.y_begin, r.rect.y_end, r.rect.collisions});
+  }
+  for (const MatchSpan& s : result.spans) {
+    out.insert(out.end(), {s.text, s.begin, s.end, s.collisions});
+  }
+  return out;
+}
+
 class SearchBatchTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -127,6 +140,52 @@ TEST_F(SearchBatchTest, CacheHitIoAttribution) {
   }
   EXPECT_EQ(scans - hits, first_half_scans - first_half_hits)
       << "the second half must perform no loads at all";
+}
+
+TEST_F(SearchBatchTest, SmallBudgetEvictsWithinTheBatch) {
+  // A budget far below the batch's distinct lists: LRU eviction inside the
+  // batch forces re-reads, yet answers stay those of single queries and
+  // every load is charged to exactly one query, as in CacheHitIoAttribution.
+  auto searcher = Searcher::Open(dir_);
+  ASSERT_TRUE(searcher.ok());
+  SearchOptions options;
+  options.theta = 0.7;
+  options.use_prefix_filter = false;
+  std::vector<std::vector<Token>> doubled = queries_;
+  doubled.insert(doubled.end(), queries_.begin(), queries_.end());
+  auto ample = searcher->SearchBatch(doubled, options, 256ull << 20,
+                                     /*num_threads=*/1);
+  ASSERT_TRUE(ample.ok());
+  for (size_t threads : {1, 3}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    // 16 KiB per cache shard: some lists stay, most are evicted or never
+    // fit.
+    auto small = searcher->SearchBatch(doubled, options, 256 << 10, threads);
+    ASSERT_TRUE(small.ok());
+    uint64_t scans = 0, loads = 0, ample_loads = 0;
+    uint64_t io_bytes = 0, ample_io_bytes = 0;
+    for (size_t q = 0; q < doubled.size(); ++q) {
+      const SearchStats& stats = (*small)[q].stats;
+      auto single = searcher->Search(doubled[q], options);
+      ASSERT_TRUE(single.ok());
+      EXPECT_EQ(Fingerprint((*small)[q]), Fingerprint(*single)) << "q=" << q;
+      ASSERT_LE(stats.cache_hits, stats.short_lists) << "q=" << q;
+      // A query that loaded nothing read nothing, and vice versa.
+      EXPECT_EQ(stats.io_bytes == 0, stats.cache_hits == stats.short_lists)
+          << "q=" << q;
+      EXPECT_EQ(stats.shared_cache_hits, 0u) << "q=" << q;
+      scans += stats.short_lists;
+      loads += stats.short_lists - stats.cache_hits;
+      ample_loads +=
+          (*ample)[q].stats.short_lists - (*ample)[q].stats.cache_hits;
+      io_bytes += stats.io_bytes;
+      ample_io_bytes += (*ample)[q].stats.io_bytes;
+    }
+    // Evicted lists are read again, and each read is charged once.
+    EXPECT_LT(loads, scans) << "the small cache must still serve some hits";
+    EXPECT_GT(loads, ample_loads);
+    EXPECT_GT(io_bytes, ample_io_bytes);
+  }
 }
 
 TEST_F(SearchBatchTest, InflightParentReleasedAfterBatch) {

@@ -1,7 +1,7 @@
 // ndss_build: builds the k inverted-index files for a corpus file.
 //
-//   ndss_build --corpus=/data/corpus.crp --index=/data/idx \
-//              --k=32 --t=25 [--external] [--compress] [--threads=N]
+//   ndss_build --corpus=/data/corpus.crp --index=/data/idx --k=32 --t=25
+//              [--external] [--compress] [--threads=N]
 
 #include <cstdio>
 

@@ -1,7 +1,7 @@
 // ndss_corpusgen: generates a synthetic tokenized corpus file for
 // experiments.
 //
-//   ndss_corpusgen --out=/data/corpus.crp --texts=100000 --vocab=32000 \
+//   ndss_corpusgen --out=/data/corpus.crp --texts=100000 --vocab=32000
 //                  --plant-rate=0.2 --seed=42
 
 #include <cstdio>

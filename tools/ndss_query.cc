@@ -4,8 +4,8 @@
 // a random perturbed span (for quick smoke tests):
 //
 //   ndss_query --index=/data/idx --theta=0.8 --tokens=17,4,99,23,...
-//   ndss_query --index=/data/idx --corpus=/data/corpus.crp \
-//              --text=12 --begin=100 --len=64 [--noise=0.05]
+//   ndss_query --index=/data/idx --corpus=/data/corpus.crp --text=12
+//              --begin=100 --len=64 [--noise=0.05]
 //   ndss_query --index=/data/idx --corpus=/data/corpus.crp --random=10
 //
 // --random mode runs the whole set through SearchBatch (shared list cache);
