@@ -144,6 +144,14 @@ inline Status CheckQueryContext(const QueryContext* ctx) {
   return ctx == nullptr ? Status::OK() : ctx->Check();
 }
 
+/// True for outcomes imposed by the caller's QueryContext (deadline,
+/// cancellation, memory budget) rather than by the data: they say nothing
+/// about the health of a list, a file or a shard.
+inline bool IsGovernanceStatus(const Status& status) {
+  return status.IsDeadlineExceeded() || status.IsCancelled() ||
+         status.IsResourceExhausted();
+}
+
 /// RAII handle over a context's memory budget: everything charged through
 /// it is released when it goes out of scope (query end or early error
 /// return), so error paths cannot leak accounted bytes. No-op when `ctx` is

@@ -408,13 +408,6 @@ HttpResponse SearchService::HandleSearchBatch(const HttpRequest& request) {
                    &limits.max_inflight_bytes);
   }
   if (!s.ok()) return ErrorResponse(s);
-  if (batch_deadline_ms > 0) {
-    // Absolute, measured from request receipt — parse time is on the
-    // clock, exactly like ShardedSearcher's own fan-out composition.
-    limits.has_batch_deadline = true;
-    limits.batch_deadline =
-        arrival + std::chrono::microseconds(batch_deadline_micros);
-  }
   limits.inflight_parent = &server_budget_;
   const JsonValue* shed = parsed->Find("shed_policy");
   if (shed != nullptr) {
@@ -448,9 +441,26 @@ HttpResponse SearchService::HandleSearchBatch(const HttpRequest& request) {
   search_options.theta = theta;
   search_options.use_prefix_filter = !no_prefix_filter;
 
-  Result<BatchResult> batch = searcher_->SearchBatch(
-      queries, search_options, limits, options_.cache_budget_bytes,
-      options_.batch_threads);
+  // A batch deadline is measured from request receipt, so parse time is on
+  // the clock: the batch gets what is left of it, and if nothing is, every
+  // query is shed before it starts, whatever the shed policy.
+  const int64_t batch_left_micros =
+      batch_deadline_micros -
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          QueryContext::Clock::now() - arrival)
+          .count();
+  Result<BatchResult> batch = BatchResult();
+  if (batch_deadline_ms > 0 && batch_left_micros <= 0) {
+    batch->results.resize(queries.size());
+    batch->statuses.assign(queries.size(),
+                           Status::Cancelled("shed: batch deadline exceeded"));
+    batch->stats.queries_shed = queries.size();
+  } else {
+    if (batch_deadline_ms > 0) limits.batch_timeout_micros = batch_left_micros;
+    batch = searcher_->SearchBatch(queries, search_options, limits,
+                                   options_.cache_budget_bytes,
+                                   options_.batch_threads);
+  }
   if (!batch.ok()) return ErrorResponse(batch.status());
 
   searches_ok_.fetch_add(1, std::memory_order_relaxed);

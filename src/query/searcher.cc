@@ -23,13 +23,6 @@ namespace ndss {
 
 namespace {
 
-/// True for outcomes imposed by the caller's QueryContext rather than by
-/// the data: they say nothing about the health of a list or a file.
-bool IsGovernanceStatus(const Status& status) {
-  return status.IsDeadlineExceeded() || status.IsCancelled() ||
-         status.IsResourceExhausted();
-}
-
 /// Reads a whole list under the options' retry policy. A failed attempt
 /// rewinds `out` so the retry does not duplicate windows; governance errors
 /// are not retryable (IsRetryableStatus) and propagate immediately.
@@ -394,6 +387,20 @@ Result<BatchResult> Searcher::SearchBatch(
     const std::vector<std::vector<Token>>& queries,
     const SearchOptions& options, const BatchLimits& limits,
     uint64_t cache_budget_bytes, size_t num_threads) {
+  return RunGovernedBatch(
+      queries, limits, /*server_cache=*/nullptr, cache_budget_bytes,
+      num_threads,
+      [&](std::span<const Token> query, const QueryContext& ctx,
+          CrossQueryListCache* cache, SearchResult* result) {
+        return SearchInternal(query, options, {cache, /*owner=*/1}, &ctx,
+                              result);
+      });
+}
+
+Result<BatchResult> RunGovernedBatch(
+    const std::vector<std::vector<Token>>& queries, const BatchLimits& limits,
+    CrossQueryListCache* server_cache, uint64_t cache_budget_bytes,
+    size_t num_threads, const BatchQueryFn& run_query) {
   if (limits.batch_timeout_micros < 0 || limits.query_timeout_micros < 0) {
     return Status::InvalidArgument("batch timeouts must be >= 0");
   }
@@ -401,30 +408,23 @@ Result<BatchResult> Searcher::SearchBatch(
   batch.results.resize(queries.size());
   batch.statuses.assign(queries.size(), Status::OK());
 
-  // Inflight budget: shared list cache + every live per-query arena.
-  // Unlimited (accounting only) unless max_inflight_bytes is set. A fan-out
-  // layer may parent it so one cap spans every sub-batch.
+  // Inflight budget: the batch's list cache + every live per-query arena.
+  // Unlimited (accounting only) unless max_inflight_bytes is set.
   MemoryBudget inflight(limits.max_inflight_bytes, limits.inflight_parent);
   // Without a server-wide cache the batch gets its own, charged to the
   // inflight budget; declared after it, so it is destroyed (and gives its
   // bytes back) first.
-  ListCacheRef cache = limits.shared_cache;
-  const bool own_cache = !cache.enabled() && cache_budget_bytes > 0;
+  CrossQueryListCache* cache = server_cache;
+  const bool own_cache = cache == nullptr && cache_budget_bytes > 0;
   std::optional<CrossQueryListCache> batch_cache;
-  if (own_cache) {
-    batch_cache.emplace(cache_budget_bytes, &inflight);
-    cache = {&*batch_cache, /*owner=*/1};
-  }
+  if (own_cache) cache = &batch_cache.emplace(cache_budget_bytes, &inflight);
 
-  const bool has_batch_deadline =
-      limits.has_batch_deadline || limits.batch_timeout_micros > 0;
+  const bool has_batch_deadline = limits.batch_timeout_micros > 0;
   const QueryContext::Clock::time_point batch_deadline =
-      limits.has_batch_deadline
-          ? limits.batch_deadline
-          : QueryContext::Clock::now() +
-                std::chrono::microseconds(limits.batch_timeout_micros);
+      QueryContext::Clock::now() +
+      std::chrono::microseconds(limits.batch_timeout_micros);
 
-  auto run_query = [&](size_t i) {
+  auto run_one = [&](size_t i) {
     // Admission control: past the batch deadline a queued query is shed
     // outright — running it could only steal time from nothing.
     if (has_batch_deadline &&
@@ -447,8 +447,7 @@ Result<BatchResult> Searcher::SearchBatch(
     MemoryBudget arena(limits.max_query_bytes, &inflight);
     ctx.set_memory_budget(&arena);
     SearchResult& result = batch.results[i];
-    batch.statuses[i] =
-        SearchInternal(queries[i], options, cache, &ctx, &result);
+    batch.statuses[i] = run_query(queries[i], ctx, cache, &result);
     // Hits on the batch's own cache count as cache_hits; shared_cache_hits
     // is kept for a server-wide cache.
     if (own_cache) {
@@ -457,7 +456,7 @@ Result<BatchResult> Searcher::SearchBatch(
   };
 
   if (num_threads <= 1 || queries.size() <= 1) {
-    for (size_t i = 0; i < queries.size(); ++i) run_query(i);
+    for (size_t i = 0; i < queries.size(); ++i) run_one(i);
   } else {
     // Workers pull query indices from a shared counter, so a handful of
     // expensive queries cannot strand the rest of the batch on one thread.
@@ -471,7 +470,7 @@ Result<BatchResult> Searcher::SearchBatch(
         for (;;) {
           const size_t i = next.fetch_add(1, std::memory_order_relaxed);
           if (i >= queries.size()) return;
-          run_query(i);
+          run_one(i);
         }
       });
     }
@@ -480,9 +479,10 @@ Result<BatchResult> Searcher::SearchBatch(
 
   for (size_t i = 0; i < queries.size(); ++i) {
     const Status& status = batch.statuses[i];
+    const SearchStats& stats = batch.results[i].stats;
     if (status.ok()) {
       ++batch.stats.queries_ok;
-      if (batch.results[i].stats.degraded_funcs > 0) {
+      if (stats.degraded_funcs > 0 || stats.degraded_shards > 0) {
         ++batch.stats.queries_degraded;
       }
     } else if (status.IsDeadlineExceeded()) {
@@ -494,8 +494,8 @@ Result<BatchResult> Searcher::SearchBatch(
     } else {
       ++batch.stats.queries_failed;
     }
-    batch.stats.peak_query_bytes = std::max(
-        batch.stats.peak_query_bytes, batch.results[i].stats.peak_memory_bytes);
+    batch.stats.peak_query_bytes =
+        std::max(batch.stats.peak_query_bytes, stats.peak_memory_bytes);
   }
   batch.stats.peak_inflight_bytes = inflight.peak();
   return batch;

@@ -2,6 +2,7 @@
 #define NDSS_QUERY_SEARCHER_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -156,6 +157,8 @@ enum class ShedPolicy {
 
 /// Resource limits for one governed SearchBatch call. Zero disables the
 /// corresponding limit; a default-constructed BatchLimits governs nothing.
+/// Every limit means the same on a Searcher and on a ShardedSearcher: one
+/// query is bounded across all the shards it scatters over.
 struct BatchLimits {
   /// Aggregate wall-clock budget for the whole batch, measured from the
   /// SearchBatch call. Once exceeded, unstarted queries are shed (see
@@ -180,27 +183,10 @@ struct BatchLimits {
 
   ShedPolicy shed_policy = ShedPolicy::kCancelRunning;
 
-  // ---- fan-out composition hooks ----
-  // Set by a layer that splits one logical batch across several Searchers
-  // (ShardedSearcher): every sub-batch must shed against the same clock and
-  // count against one memory cap, which the relative/per-call fields above
-  // cannot express. Plain callers leave them untouched.
-
-  /// When true, `batch_deadline` is the absolute batch deadline and
-  /// `batch_timeout_micros` is ignored.
-  bool has_batch_deadline = false;
-  QueryContext::Clock::time_point batch_deadline{};
-
   /// Optional parent of this batch's inflight budget (batch list cache +
-  /// live query arenas), so one cross-searcher cap spans every sub-batch.
-  /// Observed, not owned; must outlive the SearchBatch call.
+  /// live query arenas), e.g. a server-wide budget shared by concurrent
+  /// requests. Observed, not owned; must outlive the SearchBatch call.
   MemoryBudget* inflight_parent = nullptr;
-
-  /// Optional server-wide list cache. When set, the batch reads its pass-1
-  /// lists through it instead of building a cache of its own, and
-  /// `cache_budget_bytes` goes unused. Observed, not owned; must outlive
-  /// the SearchBatch call.
-  ListCacheRef shared_cache;
 };
 
 /// Batch-level governance counters. `queries_degraded` counts ok queries
@@ -226,6 +212,25 @@ struct BatchResult {
   std::vector<Status> statuses;
   BatchStats stats;
 };
+
+/// One query of a governed batch: runs `query` under `ctx`, reading pass-1
+/// lists through `cache` (nullptr = read every list directly), and writes
+/// the answer or the partial stats into `*result`.
+using BatchQueryFn =
+    std::function<Status(std::span<const Token> query, const QueryContext& ctx,
+                         CrossQueryListCache* cache, SearchResult* result)>;
+
+/// The one governed batch loop, behind Searcher::SearchBatch and
+/// ShardedSearcher::SearchBatch (the governed Searcher overload documents
+/// the semantics); `run_query` is the per-query work. Unless a
+/// `server_cache` is given, a list cache of `cache_budget_bytes` (if > 0)
+/// is scoped to the call and its hits are reported as `cache_hits`. The
+/// workers for `num_threads > 1` belong to the call, so `run_query` may
+/// block on another pool.
+Result<BatchResult> RunGovernedBatch(
+    const std::vector<std::vector<Token>>& queries, const BatchLimits& limits,
+    CrossQueryListCache* server_cache, uint64_t cache_budget_bytes,
+    size_t num_threads, const BatchQueryFn& run_query);
 
 /// Near-duplicate sequence search over an index directory (Algorithm 3).
 ///
@@ -319,8 +324,7 @@ class Searcher {
       uint64_t cache_budget_bytes = 256ull << 20, size_t num_threads = 1);
 
   /// Governed batch: admission control and load shedding on top of the
-  /// cached batch above. `limits.shared_cache` swaps the batch's own cache
-  /// for a server-wide one, whose hits count shared_cache_hits. Every query
+  /// cached batch above (RunGovernedBatch over SearchInternal). Every query
   /// runs under its own QueryContext derived from `limits` (per-query
   /// deadline, per-query arena parented to a batch-wide inflight budget);
   /// once the batch deadline passes,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "common/query_context.h"
 #include "index/index_meta.h"
 #include "index/inverted_index_reader.h"
 #include "shard/shard_manifest.h"
@@ -49,8 +50,7 @@ void ShardHealthTracker::RecordSuccess() {
 
 bool ShardHealthTracker::RecordFailure(const Status& status,
                                        uint64_t now_micros) {
-  if (status.IsDeadlineExceeded() || status.IsCancelled() ||
-      status.IsResourceExhausted()) {
+  if (IsGovernanceStatus(status)) {
     // Governance stops are the caller's doing, not evidence about the
     // shard's storage.
     return false;

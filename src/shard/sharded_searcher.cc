@@ -19,11 +19,6 @@ namespace ndss {
 
 namespace {
 
-bool IsGovernanceStatus(const Status& status) {
-  return status.IsDeadlineExceeded() || status.IsCancelled() ||
-         status.IsResourceExhausted();
-}
-
 std::string NormalizePath(const std::string& path) {
   std::string normalized =
       std::filesystem::path(path).lexically_normal().string();
@@ -88,6 +83,25 @@ struct ShardOutcome {
   SearchResult result;
   bool ran = false;  ///< false = shard was already dropped at snapshot time
 };
+
+/// Adds one source's outcome to a query's merged answer: its stats, its
+/// matches with local text ids shifted by `offset` into global ids, and its
+/// failure, kept if it is the first governance stop or the first hard error.
+void MergeOutcome(ShardOutcome& sub, TextId offset, SearchResult* result,
+                  Status* governance, Status* hard_error) {
+  AccumulateStats(sub.result.stats, &result->stats);
+  for (TextMatchRectangle& tr : sub.result.rectangles) {
+    tr.text += offset;
+    result->rectangles.push_back(tr);
+  }
+  for (MatchSpan& span : sub.result.spans) {
+    span.text += offset;
+    result->spans.push_back(span);
+  }
+  if (sub.status.ok()) return;
+  Status* first = IsGovernanceStatus(sub.status) ? governance : hard_error;
+  if (first->ok()) *first = sub.status;
+}
 
 /// Mints the immutable-source ids the cross-query list cache keys on. Ids
 /// are process-global and never reused: every ShardHandle (one opened
@@ -187,6 +201,20 @@ size_t NumSlots(const Topology& topo) {
   return topo.shards.size() + (topo.delta != nullptr ? 1 : 0);
 }
 
+/// The slots a query scatters to: every shard not yet dropped, then the
+/// delta. Empty when every shard is dropped and there is no delta.
+std::vector<size_t> RunnableSlots(const Topology& topo) {
+  std::vector<size_t> runnable;
+  for (size_t i = 0; i < topo.shards.size(); ++i) {
+    if (topo.shards[i]->searcher.has_value() &&
+        !topo.shards[i]->dropped.load(std::memory_order_relaxed)) {
+      runnable.push_back(i);
+    }
+  }
+  if (topo.delta != nullptr) runnable.push_back(DeltaSlot(topo));
+  return runnable;
+}
+
 }  // namespace
 
 struct ShardedSearcher::State {
@@ -220,11 +248,15 @@ struct ShardedSearcher::State {
   /// loads under a retired id is unreachable by every later query and ages
   /// out of the LRU on its own.
   void RetireCacheOwners(std::initializer_list<uint64_t> owners) {
-    CrossQueryListCache* cache = list_cache.load(std::memory_order_acquire);
+    CrossQueryListCache* cache = ServerCache();
     if (cache == nullptr) return;
     for (uint64_t owner : owners) {
       if (owner != 0) cache->EraseOwner(owner);
     }
+  }
+
+  CrossQueryListCache* ServerCache() const {
+    return list_cache.load(std::memory_order_acquire);
   }
 
   std::shared_ptr<const Topology> Snapshot() const {
@@ -237,12 +269,13 @@ struct ShardedSearcher::State {
     topology = std::move(next);
   }
 
-  Status SearchImpl(std::span<const Token> query, const SearchOptions& options,
-                    const QueryContext* ctx, SearchResult* result);
-  Result<BatchResult> SearchBatchImpl(
-      const std::vector<std::vector<Token>>& queries,
-      const SearchOptions& options, const BatchLimits& limits,
-      uint64_t cache_budget_bytes, size_t num_threads);
+  /// Runs one query over `topo`: scatters it to every shard not yet
+  /// dropped (and the delta) on `pool`, each shard reading its lists
+  /// through `cache` under its own owner id (nullptr = uncached), then
+  /// gathers. Search and every query of a SearchBatch come through here.
+  Status Scatter(const Topology& topo, std::span<const Token> query,
+                 const SearchOptions& options, const QueryContext* ctx,
+                 CrossQueryListCache* cache, SearchResult* result);
   Status GatherQuery(const Topology& topo, std::vector<ShardOutcome>& subs,
                      SearchResult* result);
 
@@ -385,23 +418,8 @@ Status ShardedSearcher::State::GatherQuery(const Topology& topo,
       ++excluded;
       continue;
     }
-    AccumulateStats(sub.result.stats, &result->stats);
-    const TextId offset = topo.offsets[i];
-    for (TextMatchRectangle& tr : sub.result.rectangles) {
-      tr.text += offset;
-      result->rectangles.push_back(tr);
-    }
-    for (MatchSpan& span : sub.result.spans) {
-      span.text += offset;
-      result->spans.push_back(span);
-    }
-    if (!sub.status.ok()) {
-      if (IsGovernanceStatus(sub.status)) {
-        if (governance.ok()) governance = sub.status;
-      } else if (hard_error.ok()) {
-        hard_error = sub.status;
-      }
-    } else if (topo.shards[i]->health != nullptr) {
+    MergeOutcome(sub, topo.offsets[i], result, &governance, &hard_error);
+    if (sub.status.ok() && topo.shards[i]->health != nullptr) {
       topo.shards[i]->health->RecordSuccess();
     }
   }
@@ -409,27 +427,9 @@ Status ShardedSearcher::State::GatherQuery(const Topology& topo,
   // appending keeps the text-ascending output order). It is in-memory and
   // has no health tracker: it cannot fail with storage faults, so any
   // non-governance error is a hard error, never a degraded exclusion.
-  if (topo.delta != nullptr && subs.size() > topo.shards.size()) {
-    ShardOutcome& sub = subs[DeltaSlot(topo)];
-    if (sub.ran) {
-      AccumulateStats(sub.result.stats, &result->stats);
-      const TextId offset = topo.delta_offset;
-      for (TextMatchRectangle& tr : sub.result.rectangles) {
-        tr.text += offset;
-        result->rectangles.push_back(tr);
-      }
-      for (MatchSpan& span : sub.result.spans) {
-        span.text += offset;
-        result->spans.push_back(span);
-      }
-      if (!sub.status.ok()) {
-        if (IsGovernanceStatus(sub.status)) {
-          if (governance.ok()) governance = sub.status;
-        } else if (hard_error.ok()) {
-          hard_error = sub.status;
-        }
-      }
-    }
+  if (topo.delta != nullptr && subs[DeltaSlot(topo)].ran) {
+    MergeOutcome(subs[DeltaSlot(topo)], topo.delta_offset, result,
+                 &governance, &hard_error);
   }
   result->stats.degraded_shards = excluded;
   if (excluded == topo.shards.size() && topo.delta == nullptr) {
@@ -439,37 +439,31 @@ Status ShardedSearcher::State::GatherQuery(const Topology& topo,
   return governance;
 }
 
-Status ShardedSearcher::State::SearchImpl(std::span<const Token> query,
-                                          const SearchOptions& search_options,
-                                          const QueryContext* ctx,
-                                          SearchResult* result) {
+Status ShardedSearcher::State::Scatter(const Topology& topo,
+                                       std::span<const Token> query,
+                                       const SearchOptions& search_options,
+                                       const QueryContext* ctx,
+                                       CrossQueryListCache* cache,
+                                       SearchResult* result) {
   *result = SearchResult();
   Stopwatch wall;
-  const std::shared_ptr<const Topology> topo = Snapshot();
-  std::vector<ShardOutcome> subs(NumSlots(*topo));
-  std::vector<size_t> runnable;
-  for (size_t i = 0; i < topo->shards.size(); ++i) {
-    if (topo->shards[i]->searcher.has_value() &&
-        !topo->shards[i]->dropped.load(std::memory_order_relaxed)) {
-      runnable.push_back(i);
-    }
-  }
-  if (runnable.empty() && topo->delta == nullptr) {
+  std::vector<ShardOutcome> subs(NumSlots(topo));
+  // Checked per query, so a shard dropped by an earlier query of the same
+  // batch sits out the batch's later ones.
+  const std::vector<size_t> runnable = RunnableSlots(topo);
+  if (runnable.empty()) {
     return Status::Corruption("every shard of the set is dropped");
   }
-  if (topo->delta != nullptr) runnable.push_back(DeltaSlot(*topo));
-  CrossQueryListCache* const cache =
-      list_cache.load(std::memory_order_acquire);
   ScatterOnPool(pool.get(), runnable.size(), [&](size_t j) {
     const size_t i = runnable[j];
-    const bool is_delta = i == DeltaSlot(*topo);
+    const bool is_delta = i == DeltaSlot(topo);
     Searcher* searcher =
-        is_delta ? topo->delta.get() : &*topo->shards[i]->searcher;
-    // Each source looks up cached lists under its own immutable owner id
-    // (a nullptr cache or id 0 degrades to the uncached path).
+        is_delta ? topo.delta.get() : &*topo.shards[i]->searcher;
+    // Each source looks up cached lists under its own immutable owner id,
+    // so one cache serves every shard without mixing up their lists (a
+    // nullptr cache degrades to the uncached path).
     const ListCacheRef list_cache_ref{
-        cache,
-        is_delta ? topo->delta_cache_owner : topo->shards[i]->cache_owner};
+        cache, is_delta ? topo.delta_cache_owner : topo.shards[i]->cache_owner};
     ShardOutcome& sub = subs[i];
     sub.ran = true;
     if (ctx == nullptr) {
@@ -491,133 +485,12 @@ Status ShardedSearcher::State::SearchImpl(std::span<const Token> query,
     sub.status = searcher->Search(query, search_options, &child, &sub.result,
                                   list_cache_ref);
   });
-  const Status status = GatherQuery(*topo, subs, result);
+  const Status status = GatherQuery(topo, subs, result);
   result->stats.wall_seconds = wall.ElapsedSeconds();
   if (ctx != nullptr && ctx->memory_budget() != nullptr) {
     result->stats.peak_memory_bytes = ctx->memory_budget()->peak();
   }
   return status;
-}
-
-Result<BatchResult> ShardedSearcher::State::SearchBatchImpl(
-    const std::vector<std::vector<Token>>& queries,
-    const SearchOptions& search_options, const BatchLimits& limits,
-    uint64_t cache_budget_bytes, size_t num_threads) {
-  if (limits.batch_timeout_micros < 0 || limits.query_timeout_micros < 0) {
-    return Status::InvalidArgument("batch timeouts must be >= 0");
-  }
-  const std::shared_ptr<const Topology> topo = Snapshot();
-  std::vector<size_t> runnable;
-  for (size_t i = 0; i < topo->shards.size(); ++i) {
-    if (topo->shards[i]->searcher.has_value() &&
-        !topo->shards[i]->dropped.load(std::memory_order_relaxed)) {
-      runnable.push_back(i);
-    }
-  }
-  if (runnable.empty() && topo->delta == nullptr) {
-    return Status::Corruption("every shard of the set is dropped");
-  }
-  if (topo->delta != nullptr) runnable.push_back(DeltaSlot(*topo));
-
-  // Composition hooks: every shard sub-batch sheds against one absolute
-  // deadline and charges one inflight budget, so the caller's limits mean
-  // the same thing they would on a single Searcher.
-  BatchLimits sub_limits = limits;
-  if (!sub_limits.has_batch_deadline && limits.batch_timeout_micros > 0) {
-    sub_limits.has_batch_deadline = true;
-    sub_limits.batch_deadline =
-        QueryContext::Clock::now() +
-        std::chrono::microseconds(limits.batch_timeout_micros);
-    sub_limits.batch_timeout_micros = 0;
-  }
-  MemoryBudget inflight(limits.max_inflight_bytes, limits.inflight_parent);
-  sub_limits.max_inflight_bytes = 0;
-  sub_limits.inflight_parent = &inflight;
-  const uint64_t shard_cache_budget = cache_budget_bytes / runnable.size();
-
-  struct ShardBatch {
-    Status status;
-    BatchResult batch;
-  };
-  std::vector<ShardBatch> shard_batches(NumSlots(*topo));
-  CrossQueryListCache* const cache =
-      list_cache.load(std::memory_order_acquire);
-  ScatterOnPool(pool.get(), runnable.size(), [&](size_t j) {
-    const size_t i = runnable[j];
-    const bool is_delta = i == DeltaSlot(*topo);
-    Searcher* searcher =
-        is_delta ? topo->delta.get() : &*topo->shards[i]->searcher;
-    // The cross-query cache rides the composed limits: each sub-batch gets
-    // its source's immutable owner id, so shards never mix up each other's
-    // lists and a retired source's entries are unreachable. Without it,
-    // each sub-batch builds its own cache of `shard_cache_budget`.
-    BatchLimits shard_limits = sub_limits;
-    shard_limits.shared_cache = {
-        cache,
-        is_delta ? topo->delta_cache_owner : topo->shards[i]->cache_owner};
-    Result<BatchResult> sub =
-        searcher->SearchBatch(queries, search_options, shard_limits,
-                              shard_cache_budget, num_threads);
-    if (sub.ok()) {
-      shard_batches[i].batch = std::move(*sub);
-    } else {
-      shard_batches[i].status = sub.status();
-    }
-  });
-  for (size_t i : runnable) {
-    // A sub-batch call itself only fails on invalid arguments, which no
-    // per-query merge can repair — except under self-healing, where a
-    // storage-level whole-batch failure becomes that shard failing every
-    // query of the batch (GatherQuery then excludes and classifies it).
-    // The delta is in-memory: its whole-batch failure is always fatal.
-    if (shard_batches[i].status.ok()) continue;
-    if (options.enable_self_healing && i != DeltaSlot(*topo) &&
-        !IsGovernanceStatus(shard_batches[i].status) &&
-        !shard_batches[i].status.IsInvalidArgument()) {
-      continue;
-    }
-    return shard_batches[i].status;
-  }
-
-  BatchResult out;
-  out.results.resize(queries.size());
-  out.statuses.assign(queries.size(), Status::OK());
-  for (size_t q = 0; q < queries.size(); ++q) {
-    std::vector<ShardOutcome> subs(NumSlots(*topo));
-    for (size_t i : runnable) {
-      subs[i].ran = true;
-      if (!shard_batches[i].status.ok()) {
-        // Whole-sub-batch failure (self-healing path): no per-query output
-        // exists for this shard.
-        subs[i].status = shard_batches[i].status;
-        continue;
-      }
-      subs[i].status = shard_batches[i].batch.statuses[q];
-      subs[i].result = std::move(shard_batches[i].batch.results[q]);
-    }
-    out.statuses[q] = GatherQuery(*topo, subs, &out.results[q]);
-
-    const Status& status = out.statuses[q];
-    if (status.ok()) {
-      ++out.stats.queries_ok;
-      if (out.results[q].stats.degraded_funcs > 0 ||
-          out.results[q].stats.degraded_shards > 0) {
-        ++out.stats.queries_degraded;
-      }
-    } else if (status.IsDeadlineExceeded()) {
-      ++out.stats.queries_deadline_exceeded;
-    } else if (status.IsCancelled()) {
-      ++out.stats.queries_shed;
-    } else if (status.IsResourceExhausted()) {
-      ++out.stats.queries_resource_exhausted;
-    } else {
-      ++out.stats.queries_failed;
-    }
-    out.stats.peak_query_bytes = std::max(
-        out.stats.peak_query_bytes, out.results[q].stats.peak_memory_bytes);
-  }
-  out.stats.peak_inflight_bytes = inflight.peak();
-  return out;
 }
 
 ShardedSearcher::ShardedSearcher(std::unique_ptr<State> state)
@@ -700,7 +573,7 @@ Result<ShardedSearcher> ShardedSearcher::Open(
 Result<SearchResult> ShardedSearcher::Search(std::span<const Token> query,
                                              const SearchOptions& options) {
   SearchResult result;
-  NDSS_RETURN_NOT_OK(state_->SearchImpl(query, options, nullptr, &result));
+  NDSS_RETURN_NOT_OK(Search(query, options, nullptr, &result));
   return result;
 }
 
@@ -710,7 +583,9 @@ Status ShardedSearcher::Search(std::span<const Token> query,
   if (result == nullptr) {
     return Status::InvalidArgument("result must be non-null");
   }
-  return state_->SearchImpl(query, options, ctx, result);
+  const std::shared_ptr<const Topology> topo = state_->Snapshot();
+  return state_->Scatter(*topo, query, options, ctx, state_->ServerCache(),
+                         result);
 }
 
 Result<std::vector<SearchResult>> ShardedSearcher::SearchBatch(
@@ -718,9 +593,8 @@ Result<std::vector<SearchResult>> ShardedSearcher::SearchBatch(
     const SearchOptions& options, uint64_t cache_budget_bytes,
     size_t num_threads) {
   NDSS_ASSIGN_OR_RETURN(
-      BatchResult batch,
-      state_->SearchBatchImpl(queries, options, BatchLimits{},
-                              cache_budget_bytes, num_threads));
+      BatchResult batch, SearchBatch(queries, options, BatchLimits{},
+                                     cache_budget_bytes, num_threads));
   for (const Status& status : batch.statuses) {
     if (!status.ok()) return status;
   }
@@ -731,8 +605,24 @@ Result<BatchResult> ShardedSearcher::SearchBatch(
     const std::vector<std::vector<Token>>& queries,
     const SearchOptions& options, const BatchLimits& limits,
     uint64_t cache_budget_bytes, size_t num_threads) {
-  return state_->SearchBatchImpl(queries, options, limits, cache_budget_bytes,
-                                 num_threads);
+  // One snapshot for the whole batch: every query answers over the same
+  // topology.
+  const std::shared_ptr<const Topology> topo = state_->Snapshot();
+  if (RunnableSlots(*topo).empty()) {
+    return Status::Corruption("every shard of the set is dropped");
+  }
+  // A worker blocks while its query's shard searches run on the shared
+  // pool (so it is never a pool thread). At least as many queries in
+  // flight as the pool has threads keep the next query's shard searches
+  // queued while one query gathers; many more only make in-flight queries
+  // wait on each other's list loads.
+  const size_t workers = std::max(num_threads, state_->pool->num_threads());
+  return RunGovernedBatch(
+      queries, limits, state_->ServerCache(), cache_budget_bytes, workers,
+      [&](std::span<const Token> query, const QueryContext& ctx,
+          CrossQueryListCache* cache, SearchResult* result) {
+        return state_->Scatter(*topo, query, options, &ctx, cache, result);
+      });
 }
 
 Status ShardedSearcher::AttachShard(const std::string& shard_dir) {

@@ -57,7 +57,8 @@ struct ShardedSearcherOptions {
 
   /// Worker threads for the scatter phase (each shard's sub-query runs on
   /// one). 0 = one per shard at open time, capped at the hardware
-  /// concurrency. The pool is shared by every concurrent caller.
+  /// concurrency. The pool is shared by every concurrent caller and every
+  /// query of a batch.
   size_t num_threads = 0;
 };
 
@@ -83,7 +84,7 @@ struct ShardInfo {
 ///   NDSS_ASSIGN_OR_RETURN(ShardedSearcher s, ShardedSearcher::Open(dir));
 ///   NDSS_ASSIGN_OR_RETURN(SearchResult r, s.Search(query, options));
 ///
-/// Search / governed Search / SearchBatch scatter the query over every
+/// Search / governed Search / SearchBatch scatter each query over every
 /// shard's proven single-shard path (in parallel on an internal pool),
 /// remap each shard's local text ids into global ids using the
 /// concatenation-offset semantics MergeIndexes documents, and concatenate
@@ -137,25 +138,27 @@ class ShardedSearcher {
   Status Search(std::span<const Token> query, const SearchOptions& options,
                 const QueryContext* ctx, SearchResult* result);
 
-  /// Batch scatter-gather: each shard runs the whole batch with
-  /// `num_threads` workers, so total concurrency is about shards x
-  /// num_threads. With the cross-query cache enabled (EnableListCache)
-  /// every shard reads its lists through it; otherwise each shard's
-  /// sub-batch gets a list cache of its own, `cache_budget_bytes` split
-  /// evenly across shards. Per-query results across shards are merged
-  /// exactly like Search. On error the whole batch fails with the
+  /// Batch scatter-gather: Searcher's batch loop (RunGovernedBatch) runs
+  /// each query through Search's scatter, keeping `num_threads` queries,
+  /// and at least one per scatter-pool thread, in flight on workers of the
+  /// call's own. Every query sees the topology snapshotted at the call; a
+  /// shard dropped partway through is skipped by later queries. Lists are
+  /// read through the EnableListCache cache if enabled, else through one
+  /// batch cache of `cache_budget_bytes` that every shard and the delta
+  /// share under their own owner ids. Fails with Corruption if every shard
+  /// is dropped and there is no delta; otherwise, on error, with the
   /// lowest-index failing query's status.
   Result<std::vector<SearchResult>> SearchBatch(
       const std::vector<std::vector<Token>>& queries,
       const SearchOptions& options,
       uint64_t cache_budget_bytes = 256ull << 20, size_t num_threads = 1);
 
-  /// Governed batch: one batch deadline is shared by every shard's
-  /// sub-batch (computed once, passed as an absolute time), and one
-  /// inflight budget spans every shard's cache and arenas via
-  /// BatchLimits's composition hooks. Per-query deadlines are measured
-  /// from each shard's pickup of the query. Per-query statuses merge like
-  /// Search; BatchStats classify the merged outcomes.
+  /// Governed batch: the batch above under `limits`, with the semantics of
+  /// Searcher's governed SearchBatch. `query_timeout_micros` and
+  /// `max_query_bytes` bound one query across all shards, as a
+  /// QueryContext does for Search; per-query statuses merge like Search
+  /// and BatchStats classify the merged outcomes (a query is degraded when
+  /// it dropped functions or shards).
   Result<BatchResult> SearchBatch(
       const std::vector<std::vector<Token>>& queries,
       const SearchOptions& options, const BatchLimits& limits,

@@ -23,6 +23,8 @@
 #include "query/collision_count.h"
 #include "query/list_cache.h"
 #include "query/searcher.h"
+#include "shard/shard_manifest.h"
+#include "shard/sharded_searcher.h"
 #include "sketch/sketch_scheme.h"
 
 namespace ndss {
@@ -214,6 +216,15 @@ TEST_F(Pass1FilterTest, EveryPass1PathMatchesBruteForce) {
 
   CrossQueryListCache shared(64 << 20);
   uint64_t owner = 0;
+  // A one-shard set over the same index with the server-wide cache on: its
+  // batches read through that cache instead of building their own.
+  ShardManifest manifest;
+  manifest.shard_dirs = {".."};
+  ASSERT_TRUE(manifest.Save(dir_ + "/set").ok());
+  auto served = ShardedSearcher::Open(dir_ + "/set");
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ASSERT_TRUE(served->EnableListCache(64 << 20).ok());
+  uint64_t server_cache_hits = 0;
   for (double theta : {0.5, 0.75, 1.0}) {
     for (const SearchOptions& options : OptionVariants(theta)) {
       std::vector<SearchResult> reference;
@@ -262,18 +273,19 @@ TEST_F(Pass1FilterTest, EveryPass1PathMatchesBruteForce) {
           EXPECT_EQ((*batch)[q].stats.shared_cache_hits, 0u);
         }
       }
-      BatchLimits limits;
-      limits.shared_cache = {&shared, ++owner};
-      auto batch = disk->SearchBatch(queries, options, limits, 64 << 20, 3);
+      auto batch =
+          served->SearchBatch(queries, options, BatchLimits{}, 64 << 20, 3);
       ASSERT_TRUE(batch.ok()) << batch.status().ToString();
       for (size_t q = 0; q < queries.size(); ++q) {
         ASSERT_TRUE(batch->statuses[q].ok()) << batch->statuses[q].ToString();
         EXPECT_EQ(Answer(batch->results[q]), Answer(reference[q]))
             << "server-cache batch query " << q;
         EXPECT_EQ(batch->results[q].stats.cache_hits, 0u);
+        server_cache_hits += batch->results[q].stats.shared_cache_hits;
       }
     }
   }
+  EXPECT_GT(server_cache_hits, 0u) << "the server cache served nothing";
 }
 
 /// Wraps a real source and shifts every text id its full-list reads return

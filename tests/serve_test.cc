@@ -352,6 +352,60 @@ TEST_F(ServeTest, TinyDeadlineIs504WithPartialStats) {
   auto via_header = client.Roundtrip(request);
   ASSERT_TRUE(via_header.ok());
   EXPECT_EQ(via_header->status, 504);
+
+  // A batch deadline, in the body or the header, is measured from arrival
+  // too: a 1 µs one has passed before the batch starts, so the batch
+  // answers 200 with every query shed or stopped at its deadline. That
+  // holds under reject-new too, which lets a started query finish: a
+  // one-query batch would start its query at once if handed the deadline.
+  const auto batch_queries = MakeQueries(4);
+  const auto batch_body = [&](size_t num_queries) {
+    JsonValue queries_json = JsonValue::Array();
+    for (size_t q = 0; q < num_queries; ++q) {
+      JsonValue tokens = JsonValue::Array();
+      for (Token token : batch_queries[q]) {
+        tokens.Append(JsonValue::Number(static_cast<uint64_t>(token)));
+      }
+      queries_json.Append(std::move(tokens));
+    }
+    JsonValue body = JsonValue::Object();
+    body.Set("queries", std::move(queries_json));
+    body.Set("theta", JsonValue::Number(kTheta));
+    return body;
+  };
+  JsonValue with_deadline = batch_body(batch_queries.size());
+  with_deadline.Set("batch_deadline_ms", JsonValue::Number(1e-3));
+  JsonValue reject_new = batch_body(1);
+  reject_new.Set("batch_deadline_ms", JsonValue::Number(1e-3));
+  reject_new.Set("shed_policy", JsonValue::String("reject-new"));
+  HttpRequest batch_request;
+  batch_request.method = "POST";
+  batch_request.target = "/v1/search_batch";
+  batch_request.headers["x-ndss-deadline-ms"] = "0.001";
+  batch_request.body = batch_body(batch_queries.size()).Dump();
+  auto batch_via_header = client.Roundtrip(batch_request);
+  ASSERT_TRUE(batch_via_header.ok());
+  for (const auto& [response, num_queries] :
+       {std::pair(Post("/v1/search_batch", with_deadline.Dump()),
+                  batch_queries.size()),
+        std::pair(Post("/v1/search_batch", reject_new.Dump()), size_t{1}),
+        std::pair(*batch_via_header, batch_queries.size())}) {
+    ASSERT_EQ(response.status, 200) << response.body;
+    auto batch = ParseJson(response.body);
+    ASSERT_TRUE(batch.ok());
+    const JsonValue* results = batch->Find("results");
+    ASSERT_NE(results, nullptr);
+    ASSERT_EQ(results->array().size(), num_queries);
+    for (const JsonValue& entry : results->array()) {
+      const std::string code = entry.Find("code")->string_value();
+      EXPECT_TRUE(code == "Cancelled" || code == "DeadlineExceeded") << code;
+    }
+    const JsonValue* batch_stats = batch->Find("batch_stats");
+    ASSERT_NE(batch_stats, nullptr);
+    EXPECT_EQ(NumberField(*batch_stats, "queries_shed") +
+                  NumberField(*batch_stats, "queries_deadline_exceeded"),
+              static_cast<double>(num_queries));
+  }
 }
 
 TEST_F(ServeTest, MalformedRequestsAreLoud400s) {

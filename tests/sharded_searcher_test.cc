@@ -195,6 +195,28 @@ TEST_F(ShardedSearcherTest, BatchBitIdenticalToMergedIndex) {
     ExpectSameMatches((*expected)[q], (*actual)[q],
                       "query " + std::to_string(q));
   }
+
+  // A repeated query reads its lists from the batch's own cache, which
+  // every shard shares under its own owner id: hits count as cache_hits,
+  // never as server-cache hits. Budget 0 builds no cache at all.
+  std::vector<std::vector<Token>> repeated = queries;
+  repeated.push_back(queries.front());
+  for (const uint64_t budget : {uint64_t{64} << 20, uint64_t{0}}) {
+    auto batch = sharded->SearchBatch(repeated, options, budget, 2);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    uint64_t cache_hits = 0;
+    for (size_t q = 0; q < repeated.size(); ++q) {
+      ExpectSameMatches((*expected)[q % queries.size()], (*batch)[q],
+                        "repeated query " + std::to_string(q));
+      cache_hits += (*batch)[q].stats.cache_hits;
+      EXPECT_EQ((*batch)[q].stats.shared_cache_hits, 0u);
+    }
+    if (budget > 0) {
+      EXPECT_GT(cache_hits, 0u);
+    } else {
+      EXPECT_EQ(cache_hits, 0u);
+    }
+  }
 }
 
 TEST_F(ShardedSearcherTest, GovernedSearchStaysBitIdentical) {
@@ -241,6 +263,16 @@ TEST_F(ShardedSearcherTest, GovernedBatchStaysBitIdentical) {
     EXPECT_TRUE(actual->statuses[q].ok());
     ExpectSameMatches((*expected)[q], actual->results[q],
                       "query " + std::to_string(q));
+  }
+
+  // max_query_bytes bounds one query across every shard it scatters over.
+  BatchLimits tiny;
+  tiny.max_query_bytes = 1;
+  auto exhausted = sharded->SearchBatch(queries, options, tiny, 64 << 20, 2);
+  ASSERT_TRUE(exhausted.ok()) << exhausted.status().ToString();
+  EXPECT_EQ(exhausted->stats.queries_resource_exhausted, queries.size());
+  for (const Status& status : exhausted->statuses) {
+    EXPECT_TRUE(status.IsResourceExhausted()) << status.ToString();
   }
 }
 
@@ -311,11 +343,53 @@ TEST_F(ShardedSearcherTest, CorruptShardIsDroppedAndSurvivorsStayExact) {
   }
   EXPECT_TRUE(shard1_had_matches) << "vacuous drop test";
 
+  // A batch over the faulted set: every query is answered by the
+  // survivors and counts as degraded.
+  const auto queries = MakeQueries(12);
+  auto batch = sharded->SearchBatch(queries, options, BatchLimits{},
+                                    64 << 20, 2);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(batch->stats.queries_degraded, queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    ASSERT_TRUE(batch->statuses[q].ok()) << batch->statuses[q].ToString();
+    auto full = merged.Search(queries[q], options);
+    ASSERT_TRUE(full.ok());
+    ExpectSameMatches(EraseTextRange(*full, kShardTexts, 2 * kShardTexts),
+                      batch->results[q], "degraded batch");
+    EXPECT_EQ(batch->results[q].stats.degraded_shards, 1u);
+  }
+
   const auto shards = sharded->shards();
   ASSERT_EQ(shards.size(), 3u);
   EXPECT_FALSE(shards[0].dropped);
   EXPECT_TRUE(shards[1].dropped);
   EXPECT_FALSE(shards[2].dropped);
+}
+
+TEST_F(ShardedSearcherTest, BatchOverAnAllDroppedSetFailsTheCall) {
+  WriteManifest({ShardDir(1)});
+  CorruptShardLists(ShardDir(1));
+  ShardedSearcherOptions sharded_options;
+  sharded_options.allow_shard_drop = true;
+  auto sharded = ShardedSearcher::Open(SetDir(), sharded_options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+
+  SearchOptions options;
+  options.theta = 0.6;
+  const auto queries = MakeQueries(4);
+  // The first search reads a corrupt list and drops the only shard.
+  auto search = sharded->Search(queries[0], options);
+  ASSERT_TRUE(search.status().IsCorruption()) << search.status().ToString();
+  ASSERT_TRUE(sharded->shards()[0].dropped);
+
+  // With nothing left to run, a batch fails as a whole, governed or not,
+  // rather than answering OK with a Corruption per query.
+  auto governed =
+      sharded->SearchBatch(queries, options, BatchLimits{}, 64 << 20, 2);
+  EXPECT_TRUE(governed.status().IsCorruption())
+      << governed.status().ToString();
+  auto plain = sharded->SearchBatch(queries, options, 64 << 20, 2);
+  EXPECT_TRUE(plain.status().IsCorruption()) << plain.status().ToString();
 }
 
 TEST_F(ShardedSearcherTest, UnopenableShardIsDroppedAtOpen) {
