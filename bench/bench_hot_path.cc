@@ -6,7 +6,9 @@
 // runs, the (text, l) window sort, the (text, begin) span-key sort, and
 // end-to-end query QPS over an in-memory index. Before any timing, every
 // kernel's output is verified against the oracle on the bench input —
-// a mismatch exits 1, which is what the nightly CI step keys on.
+// a mismatch exits 1, which is what the nightly CI step keys on. Each
+// kernel and its oracle are timed in alternation, and the reported speedup
+// is the median of the per-iteration ratios.
 //
 // Usage: bench_hot_path [--json] [--quick] [--out=PATH]
 //   --json   also write the machine-readable report (default
@@ -50,28 +52,56 @@ Percentiles ComputePercentiles(std::vector<double> micros) {
   return p;
 }
 
-template <typename Fn>
-Percentiles TimeIterations(int iters, Fn&& fn) {
-  std::vector<double> micros;
-  micros.reserve(iters);
-  for (int i = 0; i < iters; ++i) {
-    Stopwatch watch;
-    g_sink = g_sink + fn();
-    micros.push_back(watch.ElapsedMicros());
-  }
-  return ComputePercentiles(micros);
-}
-
 struct KernelReport {
   std::string name;
   uint64_t items = 0;
   int iters = 0;
   Percentiles fast;
   Percentiles ref;
-  double speedup() const {
-    return fast.p50_us > 0 ? ref.p50_us / fast.p50_us : 0;
-  }
+  double speedup_p50 = 0;  ///< median of the per-iteration ref/fast ratios
+  double speedup() const { return speedup_p50; }
 };
+
+/// Times `fast` and `ref` in alternation, one call of each per iteration
+/// (which goes first flips every iteration), so a clock-frequency step or
+/// a noisy neighbour lands on both sides of a pair alike. The speedup is
+/// the median of the per-iteration ratios ref / fast, not a ratio of two
+/// medians taken at different moments.
+template <typename Fast, typename Ref>
+KernelReport TimePaired(std::string name, uint64_t items, int iters,
+                        Fast&& fast, Ref&& ref) {
+  std::vector<double> fast_us, ref_us, ratios;
+  fast_us.reserve(iters);
+  ref_us.reserve(iters);
+  ratios.reserve(iters);
+  const auto time = [](auto& fn) {
+    Stopwatch watch;
+    g_sink = g_sink + fn();
+    return watch.ElapsedMicros();
+  };
+  for (int i = 0; i < iters; ++i) {
+    double f = 0;
+    double r = 0;
+    if (i % 2 == 0) {
+      f = time(fast);
+      r = time(ref);
+    } else {
+      r = time(ref);
+      f = time(fast);
+    }
+    fast_us.push_back(f);
+    ref_us.push_back(r);
+    if (f > 0) ratios.push_back(r / f);
+  }
+  KernelReport report;
+  report.name = std::move(name);
+  report.items = items;
+  report.iters = iters;
+  report.fast = ComputePercentiles(fast_us);
+  report.ref = ComputePercentiles(ref_us);
+  report.speedup_p50 = ComputePercentiles(ratios).p50_us;
+  return report;
+}
 
 void PrintKernel(const KernelReport& r) {
   std::printf("%-16s %10llu %6d %12.1f %12.1f %12.1f %12.1f %9.2fx\n",
@@ -135,21 +165,21 @@ KernelReport BenchIntervalSweep(bool quick) {
     FailEquivalence("interval_sweep");
   }
 
-  KernelReport report{"interval_sweep", m, iters, {}, {}};
   SweepGroups sweep;
-  report.fast = TimeIterations(iters, [&] {
-    if (!IntervalSweep(intervals, alpha, &sweep).ok()) return uint64_t{0};
-    return static_cast<uint64_t>(sweep.groups.size() + sweep.adds.size());
-  });
   std::vector<IntervalGroup> groups;
-  report.ref = TimeIterations(iters, [&] {
-    groups.clear();
-    if (!reference::IntervalScan(intervals, alpha, &groups).ok()) {
-      return uint64_t{0};
-    }
-    return static_cast<uint64_t>(groups.size());
-  });
-  return report;
+  return TimePaired(
+      "interval_sweep", m, iters,
+      [&] {
+        if (!IntervalSweep(intervals, alpha, &sweep).ok()) return uint64_t{0};
+        return static_cast<uint64_t>(sweep.groups.size() + sweep.adds.size());
+      },
+      [&] {
+        groups.clear();
+        if (!reference::IntervalScan(intervals, alpha, &groups).ok()) {
+          return uint64_t{0};
+        }
+        return static_cast<uint64_t>(groups.size());
+      });
 }
 
 // ---- collision count -----------------------------------------------------
@@ -176,21 +206,21 @@ KernelReport BenchCollisionCount(bool quick) {
     FailEquivalence("collision_count");
   }
 
-  KernelReport report{"collision_count", m, iters, {}, {}};
   std::vector<MatchRectangle> rects;
-  report.fast = TimeIterations(iters, [&] {
-    rects.clear();
-    if (!CollisionCount(windows, alpha, &rects).ok()) return uint64_t{0};
-    return static_cast<uint64_t>(rects.size());
-  });
-  report.ref = TimeIterations(iters, [&] {
-    rects.clear();
-    if (!reference::CollisionCount(windows, alpha, &rects).ok()) {
-      return uint64_t{0};
-    }
-    return static_cast<uint64_t>(rects.size());
-  });
-  return report;
+  return TimePaired(
+      "collision_count", m, iters,
+      [&] {
+        rects.clear();
+        if (!CollisionCount(windows, alpha, &rects).ok()) return uint64_t{0};
+        return static_cast<uint64_t>(rects.size());
+      },
+      [&] {
+        rects.clear();
+        if (!reference::CollisionCount(windows, alpha, &rects).ok()) {
+          return uint64_t{0};
+        }
+        return static_cast<uint64_t>(rects.size());
+      });
 }
 
 // ---- block varint decode -------------------------------------------------
@@ -250,7 +280,9 @@ uint64_t DecodeWholeList(const EncodedList& list, PostedWindow* out,
 /// variant is verified bit-identical against the reference first.
 void BenchDecode(bool quick, std::vector<KernelReport>* kernels) {
   const uint64_t count = quick ? 150000 : 1000000;
-  const int iters = quick ? 8 : 15;
+  // A quick decode pair takes about a millisecond, so 40 pairs stay cheap
+  // while giving the paired median enough samples to settle.
+  const int iters = quick ? 40 : 15;
   const EncodedList list = MakeEncodedList(count, 7);
 
   std::vector<PostedWindow> ref_out(count), out(count);
@@ -258,9 +290,6 @@ void BenchDecode(bool quick, std::vector<KernelReport>* kernels) {
       count) {
     FailEquivalence("decode_block");
   }
-  const Percentiles ref = TimeIterations(iters, [&] {
-    return DecodeWholeList(list, out.data(), reference::DecodeWindowRun);
-  });
 
   struct Variant {
     const char* name;
@@ -277,10 +306,12 @@ void BenchDecode(bool quick, std::vector<KernelReport>* kernels) {
     if (DecodeWholeList(list, out.data(), v.fn) != count || out != ref_out) {
       FailEquivalence(v.name);
     }
-    KernelReport report{v.name, count, iters, {}, ref};
-    report.fast = TimeIterations(
-        iters, [&] { return DecodeWholeList(list, out.data(), v.fn); });
-    kernels->push_back(report);
+    kernels->push_back(TimePaired(
+        v.name, count, iters,
+        [&] { return DecodeWholeList(list, out.data(), v.fn); },
+        [&] {
+          return DecodeWholeList(list, out.data(), reference::DecodeWindowRun);
+        }));
     PrintKernel(kernels->back());
   }
 }
@@ -308,19 +339,19 @@ KernelReport BenchWindowSort(bool quick) {
   reference::SortWindows(&ref_sorted);
   if (fast_sorted != ref_sorted) FailEquivalence("window_sort");
 
-  KernelReport report{"window_sort", n, iters, {}, {}};
   std::vector<PostedWindow> work, scratch;
-  report.fast = TimeIterations(iters, [&] {
-    work = input;
-    RadixSortByKey(&work, key, &scratch);
-    return static_cast<uint64_t>(work.back().text);
-  });
-  report.ref = TimeIterations(iters, [&] {
-    work = input;
-    reference::SortWindows(&work);
-    return static_cast<uint64_t>(work.back().text);
-  });
-  return report;
+  return TimePaired(
+      "window_sort", n, iters,
+      [&] {
+        work = input;
+        RadixSortByKey(&work, key, &scratch);
+        return static_cast<uint64_t>(work.back().text);
+      },
+      [&] {
+        work = input;
+        reference::SortWindows(&work);
+        return static_cast<uint64_t>(work.back().text);
+      });
 }
 
 KernelReport BenchSpanSort(bool quick) {
@@ -345,19 +376,19 @@ KernelReport BenchSpanSort(bool quick) {
   reference::SortByKey(&ref_sorted);
   if (fast_sorted != ref_sorted) FailEquivalence("span_sort");
 
-  KernelReport report{"span_sort", n, iters, {}, {}};
   std::vector<std::pair<uint64_t, uint32_t>> work, scratch;
-  report.fast = TimeIterations(iters, [&] {
-    work = input;
-    RadixSortByKey(&work, key_fn, &scratch);
-    return static_cast<uint64_t>(work.back().second);
-  });
-  report.ref = TimeIterations(iters, [&] {
-    work = input;
-    reference::SortByKey(&work);
-    return static_cast<uint64_t>(work.back().second);
-  });
-  return report;
+  return TimePaired(
+      "span_sort", n, iters,
+      [&] {
+        work = input;
+        RadixSortByKey(&work, key_fn, &scratch);
+        return static_cast<uint64_t>(work.back().second);
+      },
+      [&] {
+        work = input;
+        reference::SortByKey(&work);
+        return static_cast<uint64_t>(work.back().second);
+      });
 }
 
 // ---- end-to-end ----------------------------------------------------------

@@ -83,6 +83,7 @@ Result<InvertedIndexReader> InvertedIndexReader::Open(
     return Status::Corruption("index metadata checksum mismatch: " + path);
   }
   result.directory_.resize(num_lists);
+  result.keys_.resize(num_lists);
   for (uint64_t i = 0; i < num_lists; ++i) {
     const char* p = raw.data() + i * idx::kDirectoryEntrySize;
     ListMeta& meta = result.directory_[i];
@@ -94,16 +95,13 @@ Result<InvertedIndexReader> InvertedIndexReader::Open(
     meta.zone_offset = DecodeFixed64(p + 32);
     meta.zone_count = DecodeFixed32(p + 40);
     meta.zone_crc = DecodeFixed32(p + 44);
+    result.keys_[i] = meta.key;
   }
   return result;
 }
 
 const ListMeta* InvertedIndexReader::FindList(Token key) const {
-  auto it = std::lower_bound(
-      directory_.begin(), directory_.end(), key,
-      [](const ListMeta& meta, Token k) { return meta.key < k; });
-  if (it == directory_.end() || it->key != key) return nullptr;
-  return &*it;
+  return FindListByKey(keys_, directory_, key);
 }
 
 Status InvertedIndexReader::DecodeRun(const char* p, const char* limit,

@@ -88,6 +88,7 @@ class InvertedIndexReader : public InvertedListSource {
   index_format::PostingFormat format_ = index_format::kFormatRaw;
   uint64_t num_windows_ = 0;
   std::vector<ListMeta> directory_;
+  std::vector<Token> keys_;  ///< directory_[i].key, for FindList
 };
 
 }  // namespace ndss

@@ -1,6 +1,7 @@
 #ifndef NDSS_INDEX_LIST_SOURCE_H_
 #define NDSS_INDEX_LIST_SOURCE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -11,18 +12,32 @@ namespace ndss {
 
 class QueryContext;
 
-/// Directory metadata of one inverted list.
+/// Directory metadata of one inverted list. The fields are ordered so the
+/// struct packs into 48 bytes with no padding: a serve shard holds one per
+/// distinct min-hash key per function, so every byte counts in RSS.
 struct ListMeta {
   Token key = 0;
+  uint32_t list_crc = 0;     ///< masked CRC32C of the list bytes (v2; 0 in
+                             ///< the in-memory index, which skips checks)
   uint64_t count = 0;        ///< number of windows in the list
   uint64_t list_offset = 0;  ///< absolute file offset of the list (on disk)
   uint64_t list_bytes = 0;   ///< encoded size of the list in bytes
   uint64_t zone_offset = 0;  ///< absolute offset of zone entries (0 = none)
   uint32_t zone_count = 0;   ///< number of zone entries
-  uint32_t list_crc = 0;     ///< masked CRC32C of the list bytes (v2; 0 in
-                             ///< the in-memory index, which skips checks)
   uint32_t zone_crc = 0;     ///< masked CRC32C of the zone region (v2)
 };
+static_assert(sizeof(ListMeta) == 48, "ListMeta must stay unpadded");
+
+/// The FindList lookup both list sources share: binary-searches `keys`
+/// (directory[i].key for every i, ascending) and returns &directory[i] for
+/// `key`, or nullptr when the key has no list.
+inline const ListMeta* FindListByKey(const std::vector<Token>& keys,
+                                     const std::vector<ListMeta>& directory,
+                                     Token key) {
+  const auto it = std::lower_bound(keys.begin(), keys.end(), key);
+  if (it == keys.end() || *it != key) return nullptr;
+  return &directory[static_cast<size_t>(it - keys.begin())];
+}
 
 /// Access interface to one hash function's inverted lists, implemented by
 /// the on-disk reader (InvertedIndexReader) and the embedded in-memory
@@ -42,7 +57,11 @@ class InvertedListSource {
  public:
   virtual ~InvertedListSource() = default;
 
-  /// Directory entry for `key`, or nullptr if the key has no list.
+  /// Directory entry for `key`, or nullptr if the key has no list. The
+  /// entry is an element of directory(). Both implementations binary-search
+  /// a dense array of the directory's keys built at open (4 bytes a key
+  /// instead of a 48-byte stride), which halves the lookup a query pays
+  /// once per hash function.
   virtual const ListMeta* FindList(Token key) const = 0;
 
   /// Appends an entire list to `out`. Adds the bytes read by this call to

@@ -30,15 +30,12 @@ InMemoryInvertedIndex::InMemoryInvertedIndex(const Corpus& corpus,
     meta.count = windows_.size() - meta.list_offset;
     meta.list_bytes = meta.count * sizeof(PostedWindow);
     directory_.push_back(meta);
+    keys_.push_back(key);
   }
 }
 
 const ListMeta* InMemoryInvertedIndex::FindList(Token key) const {
-  auto it = std::lower_bound(
-      directory_.begin(), directory_.end(), key,
-      [](const ListMeta& meta, Token k) { return meta.key < k; });
-  if (it == directory_.end() || it->key != key) return nullptr;
-  return &*it;
+  return FindListByKey(keys_, directory_, key);
 }
 
 Status InMemoryInvertedIndex::ReadList(const ListMeta& meta,

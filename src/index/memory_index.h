@@ -58,6 +58,7 @@ class InMemoryInvertedIndex : public InvertedListSource {
  private:
   std::vector<PostedWindow> windows_;  // all lists, contiguous
   std::vector<ListMeta> directory_;    // list_offset = index into windows_
+  std::vector<Token> keys_;            // directory_[i].key, for FindList
   std::atomic<uint64_t> bytes_served_{0};
 };
 

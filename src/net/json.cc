@@ -1,5 +1,6 @@
 #include "net/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -12,7 +13,7 @@ namespace {
 
 constexpr int kMaxDepth = 64;
 
-void AppendEscaped(const std::string& s, std::string* out) {
+void AppendEscaped(std::string_view s, std::string* out) {
   out->push_back('"');
   for (char c : s) {
     switch (c) {
@@ -53,17 +54,19 @@ void AppendEscaped(const std::string& s, std::string* out) {
 
 void AppendNumber(double value, std::string* out) {
   // Integers up to 2^53 (token ids, counters, byte totals) print exactly,
-  // without scientific notation; everything else round-trips via %.17g.
-  if (value == std::floor(value) && std::abs(value) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld",
-                  static_cast<long long>(value));
-    out->append(buf);
-    return;
-  }
+  // without scientific notation, as %lld would; everything else
+  // round-trips in std::to_chars' general format at precision 17, which
+  // the standard defines as printf's %.17g.
   char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out->append(buf);
+  std::to_chars_result printed;
+  if (value == std::floor(value) && std::abs(value) < 9.007199254740992e15) {
+    printed = std::to_chars(buf, buf + sizeof(buf),
+                            static_cast<long long>(value));
+  } else {
+    printed = std::to_chars(buf, buf + sizeof(buf), value,
+                            std::chars_format::general, 17);
+  }
+  out->append(buf, printed.ptr);
 }
 
 /// In-place cursor over the document being parsed.
@@ -318,6 +321,46 @@ class Parser {
 };
 
 }  // namespace
+
+void JsonWriter::Separate() {
+  if (need_comma_) out_->push_back(',');
+}
+
+void JsonWriter::Open(char bracket) {
+  Separate();
+  out_->push_back(bracket);
+  need_comma_ = false;
+}
+
+void JsonWriter::Close(char bracket) {
+  out_->push_back(bracket);
+  need_comma_ = true;
+}
+
+void JsonWriter::Key(std::string_view key) {
+  Separate();
+  AppendEscaped(key, out_);
+  out_->push_back(':');
+  need_comma_ = false;
+}
+
+void JsonWriter::String(std::string_view value) {
+  Separate();
+  AppendEscaped(value, out_);
+  need_comma_ = true;
+}
+
+void JsonWriter::Bool(bool value) {
+  Separate();
+  out_->append(value ? "true" : "false");
+  need_comma_ = true;
+}
+
+void JsonWriter::Number(double value) {
+  Separate();
+  AppendNumber(value, out_);
+  need_comma_ = true;
+}
 
 const JsonValue* JsonValue::Find(const std::string& key) const {
   for (const Member& member : members_) {

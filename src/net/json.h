@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -104,6 +105,48 @@ class JsonValue {
   std::string string_;
   std::vector<JsonValue> array_;
   std::vector<Member> members_;
+};
+
+/// Writes compact JSON straight into a string, with no tree in between: the
+/// bytes are exactly what JsonValue::Dump prints for the same document
+/// (both format through one number printer and one string escaper), so a
+/// hot reply can be written once while the tree API stays available.
+///
+///   std::string body;
+///   JsonWriter w(&body);
+///   w.BeginObject();
+///   w.Key("code");
+///   w.String("OK");
+///   w.EndObject();  // body == {"code":"OK"}
+///
+/// Commas are placed automatically; the caller keeps the nesting balanced
+/// and writes a Key before every value inside an object.
+class JsonWriter {
+ public:
+  explicit JsonWriter(std::string* out) : out_(out) {}
+
+  void BeginObject() { Open('{'); }
+  void EndObject() { Close('}'); }
+  void BeginArray() { Open('['); }
+  void EndArray() { Close(']'); }
+
+  void Key(std::string_view key);
+  void String(std::string_view value);
+  void Bool(bool value);
+  /// Prints like JsonValue::Number(double): integral values below 2^53
+  /// exactly, everything else as printf %.17g.
+  void Number(double value);
+  /// Prints like JsonValue::Number(uint64_t), which stores a double.
+  void Number(uint64_t value) { Number(static_cast<double>(value)); }
+
+ private:
+  void Open(char bracket);
+  void Close(char bracket);
+  /// Emits the comma owed before a value or key, if any.
+  void Separate();
+
+  std::string* const out_;
+  bool need_comma_ = false;
 };
 
 /// Strict recursive-descent parse of exactly one JSON document occupying

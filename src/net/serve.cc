@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/parse.h"
 #include "index/varint_block.h"
 #include "query/list_cache.h"
@@ -79,37 +80,6 @@ Status TokensFromJson(const JsonValue& array, const std::string& what,
   return Status::OK();
 }
 
-void AppendStats(const SearchStats& stats, JsonValue* object) {
-  object->Set("stats", SearchStatsToJson(stats));
-}
-
-JsonValue SpanToJson(const MatchSpan& span) {
-  JsonValue v = JsonValue::Object();
-  v.Set("text", JsonValue::Number(static_cast<uint64_t>(span.text)));
-  v.Set("begin", JsonValue::Number(static_cast<uint64_t>(span.begin)));
-  v.Set("end", JsonValue::Number(static_cast<uint64_t>(span.end)));
-  v.Set("collisions",
-        JsonValue::Number(static_cast<uint64_t>(span.collisions)));
-  v.Set("similarity", JsonValue::Number(span.estimated_similarity));
-  return v;
-}
-
-JsonValue RectangleToJson(const TextMatchRectangle& rectangle) {
-  JsonValue v = JsonValue::Object();
-  v.Set("text", JsonValue::Number(static_cast<uint64_t>(rectangle.text)));
-  v.Set("x_begin",
-        JsonValue::Number(static_cast<uint64_t>(rectangle.rect.x_begin)));
-  v.Set("x_end",
-        JsonValue::Number(static_cast<uint64_t>(rectangle.rect.x_end)));
-  v.Set("y_begin",
-        JsonValue::Number(static_cast<uint64_t>(rectangle.rect.y_begin)));
-  v.Set("y_end",
-        JsonValue::Number(static_cast<uint64_t>(rectangle.rect.y_end)));
-  v.Set("collisions",
-        JsonValue::Number(static_cast<uint64_t>(rectangle.rect.collisions)));
-  return v;
-}
-
 HttpResponse JsonResponse(int status, const JsonValue& body) {
   HttpResponse response;
   response.status = status;
@@ -117,45 +87,120 @@ HttpResponse JsonResponse(int status, const JsonValue& body) {
   return response;
 }
 
+/// Parses what a JsonWriter wrote. The writer's bytes are valid JSON by
+/// construction, so failure is a bug, not an input error.
+JsonValue ParseWritten(const std::string& text) {
+  Result<JsonValue> parsed = ParseJson(text);
+  NDSS_CHECK(parsed.ok()) << parsed.status().ToString();
+  return std::move(*parsed);
+}
+
 }  // namespace
 
+void WriteSearchStats(const SearchStats& stats, JsonWriter* w) {
+  w->BeginObject();
+  w->Key("io_bytes");
+  w->Number(stats.io_bytes);
+  w->Key("short_lists");
+  w->Number(uint64_t{stats.short_lists});
+  w->Key("long_lists");
+  w->Number(uint64_t{stats.long_lists});
+  w->Key("empty_lists");
+  w->Number(uint64_t{stats.empty_lists});
+  w->Key("cache_hits");
+  w->Number(uint64_t{stats.cache_hits});
+  w->Key("shared_cache_hits");
+  w->Number(uint64_t{stats.shared_cache_hits});
+  w->Key("windows_scanned");
+  w->Number(stats.windows_scanned);
+  w->Key("pass1_candidates");
+  w->Number(stats.pass1_candidates);
+  w->Key("groups_swept");
+  w->Number(stats.groups_swept);
+  w->Key("candidate_texts");
+  w->Number(stats.candidate_texts);
+  w->Key("degraded_funcs");
+  w->Number(uint64_t{stats.degraded_funcs});
+  w->Key("degraded_shards");
+  w->Number(uint64_t{stats.degraded_shards});
+  w->Key("wall_seconds");
+  w->Number(stats.wall_seconds);
+  w->Key("peak_memory_bytes");
+  w->Number(stats.peak_memory_bytes);
+  w->EndObject();
+}
+
+void WriteSearchResult(const SearchResult& result, JsonWriter* w) {
+  w->Key("spans");
+  w->BeginArray();
+  for (const MatchSpan& span : result.spans) {
+    w->BeginObject();
+    w->Key("text");
+    w->Number(uint64_t{span.text});
+    w->Key("begin");
+    w->Number(uint64_t{span.begin});
+    w->Key("end");
+    w->Number(uint64_t{span.end});
+    w->Key("collisions");
+    w->Number(uint64_t{span.collisions});
+    w->Key("similarity");
+    w->Number(span.estimated_similarity);
+    w->EndObject();
+  }
+  w->EndArray();
+  w->Key("rectangles");
+  w->BeginArray();
+  for (const TextMatchRectangle& rectangle : result.rectangles) {
+    w->BeginObject();
+    w->Key("text");
+    w->Number(uint64_t{rectangle.text});
+    w->Key("x_begin");
+    w->Number(uint64_t{rectangle.rect.x_begin});
+    w->Key("x_end");
+    w->Number(uint64_t{rectangle.rect.x_end});
+    w->Key("y_begin");
+    w->Number(uint64_t{rectangle.rect.y_begin});
+    w->Key("y_end");
+    w->Number(uint64_t{rectangle.rect.y_end});
+    w->Key("collisions");
+    w->Number(uint64_t{rectangle.rect.collisions});
+    w->EndObject();
+  }
+  w->EndArray();
+  w->Key("stats");
+  WriteSearchStats(result.stats, w);
+}
+
 JsonValue SearchStatsToJson(const SearchStats& stats) {
-  JsonValue v = JsonValue::Object();
-  v.Set("io_bytes", JsonValue::Number(stats.io_bytes));
-  v.Set("short_lists",
-        JsonValue::Number(static_cast<uint64_t>(stats.short_lists)));
-  v.Set("long_lists",
-        JsonValue::Number(static_cast<uint64_t>(stats.long_lists)));
-  v.Set("empty_lists",
-        JsonValue::Number(static_cast<uint64_t>(stats.empty_lists)));
-  v.Set("cache_hits",
-        JsonValue::Number(static_cast<uint64_t>(stats.cache_hits)));
-  v.Set("shared_cache_hits",
-        JsonValue::Number(static_cast<uint64_t>(stats.shared_cache_hits)));
-  v.Set("windows_scanned", JsonValue::Number(stats.windows_scanned));
-  v.Set("pass1_candidates", JsonValue::Number(stats.pass1_candidates));
-  v.Set("groups_swept", JsonValue::Number(stats.groups_swept));
-  v.Set("candidate_texts", JsonValue::Number(stats.candidate_texts));
-  v.Set("degraded_funcs",
-        JsonValue::Number(static_cast<uint64_t>(stats.degraded_funcs)));
-  v.Set("degraded_shards",
-        JsonValue::Number(static_cast<uint64_t>(stats.degraded_shards)));
-  v.Set("wall_seconds", JsonValue::Number(stats.wall_seconds));
-  v.Set("peak_memory_bytes", JsonValue::Number(stats.peak_memory_bytes));
-  return v;
+  std::string text;
+  JsonWriter w(&text);
+  WriteSearchStats(stats, &w);
+  return ParseWritten(text);
 }
 
 void SearchResultToJson(const SearchResult& result, JsonValue* out) {
-  JsonValue spans = JsonValue::Array();
-  for (const MatchSpan& span : result.spans) spans.Append(SpanToJson(span));
-  out->Set("spans", std::move(spans));
-  JsonValue rectangles = JsonValue::Array();
-  for (const TextMatchRectangle& rectangle : result.rectangles) {
-    rectangles.Append(RectangleToJson(rectangle));
+  // The tree is read back from the writer's bytes, so the reply the server
+  // writes directly and this tree share one field list.
+  std::string text;
+  JsonWriter w(&text);
+  w.BeginObject();
+  WriteSearchResult(result, &w);
+  w.EndObject();
+  const JsonValue tree = ParseWritten(text);
+  for (const JsonValue::Member& member : tree.members()) {
+    out->Set(member.first, member.second);
   }
-  out->Set("rectangles", std::move(rectangles));
-  AppendStats(result.stats, out);
 }
+
+namespace {
+
+/// Room for a reply body: a span or rectangle object prints in well under
+/// 128 bytes, the code and stats in under 512.
+size_t ReplyReserve(const SearchResult& result) {
+  return 512 + 128 * (result.spans.size() + result.rectangles.size());
+}
+
+}  // namespace
 
 SearchService::SearchService(ShardedSearcher* searcher, ServeOptions options)
     : searcher_(searcher),
@@ -177,7 +222,8 @@ ServeCounters SearchService::counters() const {
   return c;
 }
 
-HttpResponse SearchService::ErrorResponse(const Status& status) {
+HttpResponse SearchService::ErrorResponse(const Status& status,
+                                          const SearchStats* partial_stats) {
   switch (status.code()) {
     case StatusCode::kDeadlineExceeded:
       deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
@@ -196,11 +242,20 @@ HttpResponse SearchService::ErrorResponse(const Status& status) {
     default:
       failed_.fetch_add(1, std::memory_order_relaxed);
   }
-  JsonValue body = JsonValue::Object();
-  body.Set("code", JsonValue::String(std::string(
-                       StatusCodeToString(status.code()))));
-  body.Set("error", JsonValue::String(status.message()));
-  return JsonResponse(HttpStatusForCode(status.code()), body);
+  HttpResponse response;
+  response.status = HttpStatusForCode(status.code());
+  JsonWriter w(&response.body);
+  w.BeginObject();
+  w.Key("code");
+  w.String(StatusCodeToString(status.code()));
+  w.Key("error");
+  w.String(status.message());
+  if (partial_stats != nullptr) {
+    w.Key("stats");
+    WriteSearchStats(*partial_stats, &w);
+  }
+  w.EndObject();
+  return response;
 }
 
 HttpResponse SearchService::Handle(const HttpRequest& request) {
@@ -330,21 +385,19 @@ HttpResponse SearchService::HandleSearch(const HttpRequest& request) {
 
   SearchResult result;
   s = searcher_->Search(tokens, search_options, &ctx, &result);
-  if (!s.ok()) {
-    // Governed outcomes carry the partial stats the query accumulated.
-    HttpResponse response = ErrorResponse(s);
-    Result<JsonValue> body = ParseJson(response.body);
-    if (body.ok()) {
-      AppendStats(result.stats, &*body);
-      response.body = body->Dump();
-    }
-    return response;
-  }
+  // Governed outcomes carry the partial stats the query accumulated.
+  if (!s.ok()) return ErrorResponse(s, &result.stats);
   searches_ok_.fetch_add(1, std::memory_order_relaxed);
-  JsonValue body = JsonValue::Object();
-  body.Set("code", JsonValue::String("OK"));
-  SearchResultToJson(result, &body);
-  return JsonResponse(200, body);
+  HttpResponse response;
+  response.status = 200;
+  response.body.reserve(ReplyReserve(result));
+  JsonWriter w(&response.body);
+  w.BeginObject();
+  w.Key("code");
+  w.String("OK");
+  WriteSearchResult(result, &w);
+  w.EndObject();
+  return response;
 }
 
 HttpResponse SearchService::HandleSearchBatch(const HttpRequest& request) {
@@ -464,43 +517,59 @@ HttpResponse SearchService::HandleSearchBatch(const HttpRequest& request) {
   if (!batch.ok()) return ErrorResponse(batch.status());
 
   searches_ok_.fetch_add(1, std::memory_order_relaxed);
-  JsonValue body = JsonValue::Object();
-  body.Set("code", JsonValue::String("OK"));
-  JsonValue results = JsonValue::Array();
-  for (size_t i = 0; i < batch->results.size(); ++i) {
-    JsonValue entry = JsonValue::Object();
-    const Status& status = batch->statuses[i];
-    entry.Set("code", JsonValue::String(
-                          std::string(StatusCodeToString(status.code()))));
-    entry.Set("http", JsonValue::Number(
-                          static_cast<uint64_t>(HttpStatusForCode(
-                              status.code()))));
-    if (status.ok()) {
-      SearchResultToJson(batch->results[i], &entry);
-    } else {
-      entry.Set("error", JsonValue::String(status.message()));
-      AppendStats(batch->results[i].stats, &entry);
-    }
-    results.Append(std::move(entry));
+  HttpResponse response;
+  response.status = 200;
+  size_t reserve = 512;
+  for (const SearchResult& result : batch->results) {
+    reserve += ReplyReserve(result);
   }
-  body.Set("results", std::move(results));
+  response.body.reserve(reserve);
+  JsonWriter w(&response.body);
+  w.BeginObject();
+  w.Key("code");
+  w.String("OK");
+  w.Key("results");
+  w.BeginArray();
+  for (size_t i = 0; i < batch->results.size(); ++i) {
+    const Status& status = batch->statuses[i];
+    w.BeginObject();
+    w.Key("code");
+    w.String(StatusCodeToString(status.code()));
+    w.Key("http");
+    w.Number(static_cast<uint64_t>(HttpStatusForCode(status.code())));
+    if (status.ok()) {
+      WriteSearchResult(batch->results[i], &w);
+    } else {
+      w.Key("error");
+      w.String(status.message());
+      w.Key("stats");
+      WriteSearchStats(batch->results[i].stats, &w);
+    }
+    w.EndObject();
+  }
+  w.EndArray();
   const BatchStats& stats = batch->stats;
-  JsonValue batch_stats = JsonValue::Object();
-  batch_stats.Set("queries_ok", JsonValue::Number(stats.queries_ok));
-  batch_stats.Set("queries_degraded",
-                  JsonValue::Number(stats.queries_degraded));
-  batch_stats.Set("queries_deadline_exceeded",
-                  JsonValue::Number(stats.queries_deadline_exceeded));
-  batch_stats.Set("queries_shed", JsonValue::Number(stats.queries_shed));
-  batch_stats.Set("queries_resource_exhausted",
-                  JsonValue::Number(stats.queries_resource_exhausted));
-  batch_stats.Set("queries_failed", JsonValue::Number(stats.queries_failed));
-  batch_stats.Set("peak_query_bytes",
-                  JsonValue::Number(stats.peak_query_bytes));
-  batch_stats.Set("peak_inflight_bytes",
-                  JsonValue::Number(stats.peak_inflight_bytes));
-  body.Set("batch_stats", std::move(batch_stats));
-  return JsonResponse(200, body);
+  w.Key("batch_stats");
+  w.BeginObject();
+  w.Key("queries_ok");
+  w.Number(stats.queries_ok);
+  w.Key("queries_degraded");
+  w.Number(stats.queries_degraded);
+  w.Key("queries_deadline_exceeded");
+  w.Number(stats.queries_deadline_exceeded);
+  w.Key("queries_shed");
+  w.Number(stats.queries_shed);
+  w.Key("queries_resource_exhausted");
+  w.Number(stats.queries_resource_exhausted);
+  w.Key("queries_failed");
+  w.Number(stats.queries_failed);
+  w.Key("peak_query_bytes");
+  w.Number(stats.peak_query_bytes);
+  w.Key("peak_inflight_bytes");
+  w.Number(stats.peak_inflight_bytes);
+  w.EndObject();
+  w.EndObject();
+  return response;
 }
 
 HttpResponse SearchService::HandleIngest(const HttpRequest& request) {

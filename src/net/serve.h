@@ -141,8 +141,10 @@ class SearchService {
   HttpResponse HandleShards();
   HttpResponse HandleHealthz();
 
-  /// 4xx/5xx response with {"code","error"} and counter classification.
-  HttpResponse ErrorResponse(const Status& status);
+  /// 4xx/5xx response with {"code","error"} and counter classification;
+  /// with `partial_stats`, a governed failure's stats follow as "stats".
+  HttpResponse ErrorResponse(const Status& status,
+                             const SearchStats* partial_stats = nullptr);
 
   ShardedSearcher* const searcher_;
   const ServeOptions options_;
@@ -163,14 +165,23 @@ class SearchService {
   std::atomic<uint64_t> docs_ingested_{0};
 };
 
-/// Serializes one SearchResult (spans, rectangles, stats) into `out`'s
-/// fields — shared by the single and batch endpoints, and by the clients'
-/// equivalence gates which re-serialize direct Searcher answers through
-/// the same function to compare byte-for-byte.
+/// Writes one SearchResult's members ("spans", "rectangles", "stats") into
+/// the object `writer` has open. The single and batch endpoints write
+/// their replies through this, straight into the response body; it is the
+/// one field list of a serialized SearchResult.
+void WriteSearchResult(const SearchResult& result, JsonWriter* writer);
+
+/// Writes a SearchStats object as the next value (partial-stats bodies on
+/// governed failures, and the "stats" member above).
+void WriteSearchStats(const SearchStats& stats, JsonWriter* writer);
+
+/// The tree form of WriteSearchResult: sets the same members on `out`, so
+/// Dump()ing the object prints the bytes the server writes. The clients'
+/// equivalence gates re-serialize direct Searcher answers through this to
+/// compare byte-for-byte.
 void SearchResultToJson(const SearchResult& result, JsonValue* out);
 
-/// Serializes only the stats block (partial-stats bodies on governed
-/// failures).
+/// The tree form of WriteSearchStats.
 JsonValue SearchStatsToJson(const SearchStats& stats);
 
 }  // namespace net

@@ -14,7 +14,7 @@ CrossQueryListCache::~CrossQueryListCache() {
     if (parent_ != nullptr && shard.bytes > 0) parent_->Release(shard.bytes);
     shard.bytes = 0;
     shard.map.clear();
-    shard.lru.clear();
+    shard.ring.clear();
   }
 }
 
@@ -25,8 +25,8 @@ std::shared_ptr<CrossQueryListCache::Entry> CrossQueryListCache::GetOrCreate(
   auto [it, created] = shard.map.try_emplace(key);
   if (created) {
     it->second.entry = std::make_shared<Entry>();
-  } else if (it->second.resident) {
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
+  } else {
+    it->second.referenced = true;
   }
   return it->second.entry;
 }
@@ -34,7 +34,9 @@ std::shared_ptr<CrossQueryListCache::Entry> CrossQueryListCache::GetOrCreate(
 void CrossQueryListCache::RetireLocked(Shard& shard, Slot& slot) {
   shard.bytes -= slot.entry->bytes;
   if (parent_ != nullptr) parent_->Release(slot.entry->bytes);
-  shard.lru.erase(slot.lru_it);
+  if (shard.hand == slot.ring_it) ++shard.hand;
+  shard.ring.erase(slot.ring_it);
+  if (shard.hand == shard.ring.end()) shard.hand = shard.ring.begin();
   slot.resident = false;
 }
 
@@ -55,9 +57,15 @@ bool CrossQueryListCache::Commit(const Key& key,
     invalidations_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  while (shard.bytes + need > shard_budget_ && !shard.lru.empty()) {
-    const Key victim_key = shard.lru.back();
-    auto victim = shard.map.find(victim_key);
+  // CLOCK sweep: a referenced entry loses its bit and is passed over once;
+  // the first unreferenced one goes. Two laps at most clear every bit.
+  while (shard.bytes + need > shard_budget_ && !shard.ring.empty()) {
+    auto victim = shard.map.find(*shard.hand);
+    if (victim->second.referenced) {
+      victim->second.referenced = false;
+      if (++shard.hand == shard.ring.end()) shard.hand = shard.ring.begin();
+      continue;
+    }
     RetireLocked(shard, victim->second);
     shard.map.erase(victim);
     evictions_.fetch_add(1, std::memory_order_relaxed);
@@ -76,8 +84,9 @@ bool CrossQueryListCache::Commit(const Key& key,
     return false;
   }
   shard.bytes += need;
-  shard.lru.push_front(key);
-  it->second.lru_it = shard.lru.begin();
+  // Just behind the hand: a full lap passes before the hand reaches it.
+  it->second.ring_it = shard.ring.insert(shard.hand, key);
+  if (shard.ring.size() == 1) shard.hand = shard.ring.begin();
   it->second.resident = true;
   insertions_.fetch_add(1, std::memory_order_relaxed);
   return true;

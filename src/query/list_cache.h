@@ -15,7 +15,7 @@
 
 namespace ndss {
 
-/// Cross-query posting-list cache: a bounded, memory-budgeted LRU of fully
+/// Cross-query posting-list cache: a bounded, memory-budgeted set of fully
 /// decoded pass-1 lists that outlives any single SearchBatch. The prefix
 /// filter exploits Zipfian token skew, which equally makes posting-list
 /// popularity skewed under steady traffic — so a server re-reads the same
@@ -37,7 +37,7 @@ namespace ndss {
 /// a distinct list is read from disk at most once: one loader runs the
 /// read while every waiter blocks on the flag, then all of them share the
 /// immutable decoded windows. Retention is accounted against the cache's
-/// byte budget (split across kShards independent LRU shards) and charged
+/// byte budget (split across kShards independent shards) and charged
 /// to an optional parent MemoryBudget — in ndss_serve, the server-wide
 /// budget — so cached lists show up in the same governance hierarchy as
 /// inflight query memory. An entry that cannot be retained (budget full
@@ -45,8 +45,20 @@ namespace ndss {
 /// the map but stays readable by the queries already holding it; later
 /// queries will re-read and retry retention.
 ///
+/// Eviction is CLOCK (second chance), per shard: resident entries sit on a
+/// ring in insertion order and a hit only sets the entry's reference bit,
+/// so the hit path is one hash lookup under the shard mutex and moves no
+/// list node. When Commit needs room, the clock hand sweeps the ring: a
+/// referenced entry has its bit cleared and is passed over once, the first
+/// unreferenced one is evicted. Entries still loading are not on the ring,
+/// so they are never evicted.
+///
+/// Hit counting is the caller's: a query counts the hits of one search
+/// locally and publishes them with one RecordHits, so the `hits` counter
+/// is exact without one shared atomic increment per list.
+///
 /// Thread-safe. Readers of a loaded entry synchronize through call_once;
-/// the per-shard mutex only guards map/LRU bookkeeping.
+/// the per-shard mutex only guards map/ring bookkeeping.
 class CrossQueryListCache {
  public:
   struct Key {
@@ -70,7 +82,7 @@ class CrossQueryListCache {
     uint64_t hits = 0;          ///< lists served without a read
     uint64_t misses = 0;        ///< lists a query had to load
     uint64_t insertions = 0;    ///< entries retained
-    uint64_t evictions = 0;     ///< entries LRU-evicted for space
+    uint64_t evictions = 0;     ///< entries CLOCK-evicted for space
     uint64_t invalidations = 0; ///< entries dropped by EraseOwner/Abandon
     uint64_t bytes_used = 0;
     uint64_t entries = 0;
@@ -86,12 +98,13 @@ class CrossQueryListCache {
   CrossQueryListCache(const CrossQueryListCache&) = delete;
   CrossQueryListCache& operator=(const CrossQueryListCache&) = delete;
 
-  /// Returns the entry for `key`, creating an empty one if absent, and
-  /// touches the LRU. The caller runs the load under entry->once.
+  /// Returns the entry for `key`, creating an empty one if absent, and sets
+  /// a resident entry's reference bit. The caller runs the load under
+  /// entry->once.
   std::shared_ptr<Entry> GetOrCreate(const Key& key);
 
-  /// Retains a loaded entry: evicts LRU entries until entry->bytes fits the
-  /// shard's budget share, charges the parent, and marks the entry
+  /// Retains a loaded entry: runs the clock hand until entry->bytes fits
+  /// the shard's budget share, charges the parent, and marks the entry
   /// resident. Returns false (and removes `key` from the map, so a later
   /// query retries) when it cannot fit; the entry's windows stay valid for
   /// current holders either way. Must be called by the loader, at most
@@ -107,15 +120,20 @@ class CrossQueryListCache {
   /// topology change retires the source behind that id.
   void EraseOwner(uint64_t owner);
 
-  void RecordHit() { hits_.fetch_add(1, std::memory_order_relaxed); }
+  /// Adds `n` lists served without a read (one call per search).
+  void RecordHits(uint64_t n) { hits_.fetch_add(n, std::memory_order_relaxed); }
   void RecordMiss() { misses_.fetch_add(1, std::memory_order_relaxed); }
 
   Counters counters() const;
   uint64_t budget_bytes() const { return budget_bytes_; }
 
-  /// Fixed per-entry accounting overhead (map node, LRU node, vector
+  /// Fixed per-entry accounting overhead (map node, ring node, vector
   /// header), added to the window payload when sizing an entry.
   static constexpr uint64_t kEntryOverhead = 96;
+
+  /// Independent shards (mutex, map, clock ring) the keyspace is hashed
+  /// over; each retains at most budget_bytes / kShards.
+  static constexpr size_t kShards = 16;
 
  private:
   struct KeyHash {
@@ -128,16 +146,19 @@ class CrossQueryListCache {
 
   struct Slot {
     std::shared_ptr<Entry> entry;
-    std::list<Key>::iterator lru_it;
-    bool resident = false;  ///< accounted and on the LRU list
+    std::list<Key>::iterator ring_it;
+    bool resident = false;    ///< accounted and on the clock ring
+    bool referenced = false;  ///< hit since the hand last passed
   };
-
-  static constexpr size_t kShards = 16;
 
   struct Shard {
     mutable std::mutex mu;
     std::unordered_map<Key, Slot, KeyHash> map;
-    std::list<Key> lru;  ///< front = most recent, resident entries only
+    /// Resident entries only, in insertion order; the clock hand walks it
+    /// front to back and wraps. New entries go in just behind the hand, so
+    /// they are the last the hand reaches.
+    std::list<Key> ring;
+    std::list<Key>::iterator hand = ring.end();
     uint64_t bytes = 0;
   };
 
@@ -145,8 +166,9 @@ class CrossQueryListCache {
     return shards_[KeyHash{}(key) % kShards];
   }
 
-  /// Removes a resident slot's accounting (bytes, LRU, parent charge).
-  /// Caller holds the shard mutex.
+  /// Removes a resident slot's accounting (bytes, ring, parent charge),
+  /// moving the hand past it if it points there. Caller holds the shard
+  /// mutex.
   void RetireLocked(Shard& shard, Slot& slot);
 
   const uint64_t budget_bytes_;

@@ -360,12 +360,11 @@ Result<SearchResult> Searcher::Search(std::span<const Token> query,
 
 Status Searcher::Search(std::span<const Token> query,
                         const SearchOptions& options, const QueryContext* ctx,
-                        SearchResult* result, ListCacheRef list_cache) {
+                        SearchResult* result, const ScatterInputs& shared) {
   if (result == nullptr) {
     return Status::InvalidArgument("result must be non-null");
   }
-  *result = SearchResult();
-  return SearchInternal(query, options, list_cache, ctx, result);
+  return SearchInternal(query, options, shared, ctx, result);
 }
 
 Result<std::vector<SearchResult>> Searcher::SearchBatch(
@@ -392,8 +391,8 @@ Result<BatchResult> Searcher::SearchBatch(
       num_threads,
       [&](std::span<const Token> query, const QueryContext& ctx,
           CrossQueryListCache* cache, SearchResult* result) {
-        return SearchInternal(query, options, {cache, /*owner=*/1}, &ctx,
-                              result);
+        return SearchInternal(query, options, {cache, /*cache_owner=*/1},
+                              &ctx, result);
       });
 }
 
@@ -503,27 +502,54 @@ Result<BatchResult> RunGovernedBatch(
 
 Status Searcher::SearchInternal(std::span<const Token> query,
                                 const SearchOptions& options,
-                                ListCacheRef cache, const QueryContext* ctx,
+                                const ScatterInputs& shared,
+                                const QueryContext* ctx,
                                 SearchResult* result) {
   constexpr uint32_t kNoFunc = 0xffffffffu;
   Stopwatch wall;
+  *result = SearchResult();
   Status status;
-  for (;;) {
-    // A degraded retry starts over: stats of the aborted attempt would
-    // double-count.
-    *result = SearchResult();
-    // Each attempt runs over an immutable snapshot: a function dropped by
-    // a concurrent query mid-attempt does not change this attempt's view.
-    const std::vector<InvertedListSource*> snapshot = SnapshotSources();
-    uint32_t failed_func = kNoFunc;
-    status =
-        SearchOnce(query, options, cache, snapshot, ctx, &failed_func, result);
-    if (status.ok() || failed_func == kNoFunc || !options.allow_degraded) {
-      break;
+  if (query.empty()) {
+    status = Status::InvalidArgument("query sequence is empty");
+  } else if (options.theta <= 0.0 || options.theta > 1.0) {
+    status = Status::InvalidArgument("theta must be in (0, 1]");
+  } else if (shared.sketch != nullptr &&
+             shared.sketch->argmin_tokens.size() != meta_.k) {
+    status = Status::InvalidArgument("shared sketch has " +
+                                     std::to_string(
+                                         shared.sketch->argmin_tokens.size()) +
+                                     " functions, the index has " +
+                                     std::to_string(meta_.k));
+  }
+  if (status.ok()) {
+    // One sketch per query: a scattering caller computed it already, and a
+    // degraded retry reuses it (a dropped function's entry is just unused).
+    Stopwatch cpu;
+    MinHashSketch computed;
+    const MinHashSketch* sketch = shared.sketch;
+    if (sketch == nullptr) {
+      computed = ComputeSketch(scheme_, query.data(), query.size());
+      sketch = &computed;
     }
-    // A list failed its checksum mid-query. Drop the whole function — its
-    // file is corrupt — and answer with the survivors at rescaled β.
-    DropFunc(failed_func, status);
+    const double sketch_seconds = cpu.ElapsedSeconds();
+    for (;;) {
+      // A degraded retry starts over: stats of the aborted attempt would
+      // double-count.
+      *result = SearchResult();
+      // Each attempt runs over an immutable snapshot: a function dropped by
+      // a concurrent query mid-attempt does not change this attempt's view.
+      const std::vector<InvertedListSource*> snapshot = SnapshotSources();
+      uint32_t failed_func = kNoFunc;
+      status = SearchOnce(*sketch, options, shared, snapshot, ctx,
+                          &failed_func, result);
+      if (status.ok() || failed_func == kNoFunc || !options.allow_degraded) {
+        break;
+      }
+      // A list failed its checksum mid-query. Drop the whole function — its
+      // file is corrupt — and answer with the survivors at rescaled β.
+      DropFunc(failed_func, status);
+    }
+    result->stats.cpu_seconds += sketch_seconds;
   }
   result->stats.wall_seconds = wall.ElapsedSeconds();
   if (ctx != nullptr && ctx->memory_budget() != nullptr) {
@@ -532,17 +558,12 @@ Status Searcher::SearchInternal(std::span<const Token> query,
   return status;
 }
 
-Status Searcher::SearchOnce(std::span<const Token> query,
-                            const SearchOptions& options, ListCacheRef cache,
+Status Searcher::SearchOnce(const MinHashSketch& sketch,
+                            const SearchOptions& options,
+                            const ScatterInputs& shared,
                             const std::vector<InvertedListSource*>& sources,
                             const QueryContext* ctx, uint32_t* failed_func,
                             SearchResult* result_out) {
-  if (query.empty()) {
-    return Status::InvalidArgument("query sequence is empty");
-  }
-  if (options.theta <= 0.0 || options.theta > 1.0) {
-    return Status::InvalidArgument("theta must be in (0, 1]");
-  }
   const uint32_t k = meta_.k;
   const uint32_t dropped = static_cast<uint32_t>(
       std::count(sources.begin(), sources.end(), nullptr));
@@ -579,11 +600,20 @@ Status Searcher::SearchOnce(std::span<const Token> query,
     ~IoBytesGuard() { stats.io_bytes = bytes; }
   } io_guard{io_bytes, result.stats};
 
-  Stopwatch cpu;
-  const MinHashSketch sketch =
-      ComputeSketch(scheme_, query.data(), query.size());
-  result.stats.cpu_seconds += cpu.ElapsedSeconds();
+  // Cross-query cache hits are published to the cache's counters once per
+  // attempt, on every return path, rather than once per list: one shared
+  // atomic bumped k times a query from every thread is a contention point
+  // of its own.
+  struct HitsGuard {
+    CrossQueryListCache* cache;
+    const uint32_t& hits;
+    ~HitsGuard() {
+      if (cache != nullptr && hits > 0) cache->RecordHits(hits);
+    }
+  } hits_guard{shared.cache_enabled() ? shared.cache : nullptr,
+               result.stats.shared_cache_hits};
 
+  Stopwatch cpu;
   // Classify the k lists. Absent keys contribute nothing and count as
   // scanned-short (they cost no IO). Under prefix filtering at most
   // beta - 1 lists may be skipped, or the first-pass threshold would drop
@@ -667,6 +697,7 @@ Status Searcher::SearchOnce(std::span<const Token> query,
   Stopwatch io;
   std::vector<std::span<const PostedWindow>> lists(short_lists.size());
   std::vector<std::shared_ptr<const void>> pinned;
+  pinned.reserve(short_lists.size());
   std::vector<std::vector<PostedWindow>> owned(short_lists.size());
   // Reads and checks one whole list.
   const auto read_list = [&](const ListRef& ref,
@@ -685,16 +716,17 @@ Status Searcher::SearchOnce(std::span<const Token> query,
     NDSS_RETURN_NOT_OK(
         arena.Charge(ref.meta->count * sizeof(PostedWindow)));
     Status read;
-    if (cache.enabled()) {
+    if (shared.cache_enabled()) {
+      CrossQueryListCache* const cache = shared.cache;
       const CrossQueryListCache::Key key{
-          cache.owner,
+          shared.cache_owner,
           (static_cast<uint64_t>(ref.func) << 32) | ref.meta->key};
       std::shared_ptr<CrossQueryListCache::Entry> entry =
-          cache.cache->GetOrCreate(key);
+          cache->GetOrCreate(key);
       bool loaded_here = false;
       std::call_once(entry->once, [&] {
         loaded_here = true;
-        cache.cache->RecordMiss();
+        cache->RecordMiss();
         entry->status = read_list(ref, &entry->windows);
         if (!entry->status.ok()) return;
         entry->bytes = entry->windows.size() * sizeof(PostedWindow) +
@@ -702,22 +734,19 @@ Status Searcher::SearchOnce(std::span<const Token> query,
         entry->stored = true;
         // Retention is best-effort: a full budget serves this query (and
         // its waiters) from the loaded entry without keeping it.
-        cache.cache->Commit(key, entry);
+        cache->Commit(key, entry);
       });
       if (entry->stored) {
         lists[list] = entry->windows;
-        pinned.push_back(entry);
-        if (!loaded_here) {
-          // The hit belongs to the query that avoided the read; the loader
-          // already counted the miss and its io_bytes.
-          ++result.stats.shared_cache_hits;
-          cache.cache->RecordHit();
-        }
+        pinned.push_back(std::move(entry));
+        // The hit belongs to the query that avoided the read; the loader
+        // already counted the miss and its io_bytes. HitsGuard publishes it.
+        if (!loaded_here) ++result.stats.shared_cache_hits;
         continue;
       }
       // Failed loads never stay cached: drop the key (iff it still maps to
       // this entry) so a later query retries the read.
-      cache.cache->Abandon(key, entry);
+      cache->Abandon(key, entry);
       // Another query's deadline, cancel or budget aborting the load says
       // nothing about the list: read it directly. A bad list fails every
       // query that touched its entry the same way, so degraded retries

@@ -25,14 +25,23 @@ namespace ndss {
 
 class CrossQueryListCache;
 
-/// A list cache (see CrossQueryListCache) plus the immutable-source id
-/// that names one Searcher's lists in its keyspace. Owner 0 means "no cache
-/// identity" and disables the cache, as does a null `cache`.
-struct ListCacheRef {
+/// What a caller that scatters one query over many Searchers (a
+/// ShardedSearcher's shards and delta) hands each of them, so the query
+/// pays once for work every source would otherwise repeat.
+///
+/// `cache` is a list cache (see CrossQueryListCache) and `cache_owner` the
+/// immutable-source id that names this Searcher's lists in its keyspace;
+/// owner 0 or a null cache disables the cache. `sketch`, when set, is the
+/// query's k-min-hash sketch, already computed by the caller; it must come
+/// from this Searcher's sketch family (a ShardedSearcher checks
+/// SameSketchFamily whenever a source joins), and nullptr makes the
+/// Searcher compute it.
+struct ScatterInputs {
   CrossQueryListCache* cache = nullptr;
-  uint64_t owner = 0;
+  uint64_t cache_owner = 0;
+  const MinHashSketch* sketch = nullptr;
 
-  bool enabled() const { return cache != nullptr && owner != 0; }
+  bool cache_enabled() const { return cache != nullptr && cache_owner != 0; }
 };
 
 /// Options for one near-duplicate search.
@@ -293,20 +302,22 @@ class Searcher {
   /// far) survive for observability, which the Result-returning overload
   /// cannot express.
   ///
-  /// Pass-1 lists are read through `list_cache` when it is enabled.
+  /// `shared` carries what a scattering caller shares (see ScatterInputs).
+  /// Pass-1 lists are read through its list cache when that is enabled.
   /// Matches and spans are bit-identical with or without it; only the
   /// SearchStats IO attribution changes (a served list counts a
-  /// shared_cache_hit instead of io_bytes).
+  /// shared_cache_hit instead of io_bytes). A shared sketch changes nothing
+  /// but who computes it (and whose cpu_seconds it lands in).
   Status Search(std::span<const Token> query, const SearchOptions& options,
                 const QueryContext* ctx, SearchResult* result,
-                ListCacheRef list_cache = {});
+                const ScatterInputs& shared = {});
 
   /// Runs many queries with a shared pass-1 list cache: Zipfian token
   /// skew makes nearby queries hit the same min-hash keys, so the batch
   /// reads its lists through a CrossQueryListCache of `cache_budget_bytes`
   /// that lives as long as the call (the workload shape of the Section 5
   /// evaluation, which issues one query per sliding window). A list is read
-  /// once while it stays cached; past the budget, LRU eviction decides
+  /// once while it stays cached; past the budget, CLOCK eviction decides
   /// which lists stay (0 reads every list directly). With
   /// `num_threads > 1` the queries are partitioned across an internal
   /// thread pool; matches and spans are identical to the sequential run
@@ -374,14 +385,15 @@ class Searcher {
   /// Full search (degraded retries included) writing into `*result`; on
   /// failure the partial stats computed so far are left in place.
   Status SearchInternal(std::span<const Token> query,
-                        const SearchOptions& options, ListCacheRef cache,
-                        const QueryContext* ctx, SearchResult* result);
+                        const SearchOptions& options,
+                        const ScatterInputs& shared, const QueryContext* ctx,
+                        SearchResult* result);
 
   /// One search attempt over the `sources` snapshot. On a list checksum
   /// failure, reports the offending function via `failed_func` so
   /// SearchInternal can drop it and retry when degradation is allowed.
-  Status SearchOnce(std::span<const Token> query, const SearchOptions& options,
-                    ListCacheRef cache,
+  Status SearchOnce(const MinHashSketch& sketch, const SearchOptions& options,
+                    const ScatterInputs& shared,
                     const std::vector<InvertedListSource*>& sources,
                     const QueryContext* ctx, uint32_t* failed_func,
                     SearchResult* result);

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <filesystem>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -52,29 +51,63 @@ void AccumulateStats(const SearchStats& in, SearchStats* out) {
   out->peak_memory_bytes += in.peak_memory_bytes;
 }
 
-/// Runs fn(0..n-1) on `pool` and blocks until all n complete. Unlike
-/// ThreadPool::WaitIdle, the per-call counter only waits for THIS call's
-/// tasks, so concurrent queries can share one pool without waiting on each
-/// other's work.
-void ScatterOnPool(ThreadPool* pool, size_t n,
-                   const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  if (pool == nullptr || n == 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
+/// The indices of one scatter, shared by its caller and the pool helpers
+/// it offers. Held by shared_ptr: a helper the pool starts only after the
+/// caller has run every index finds nothing to claim and touches nothing
+/// but this block, so the caller need not wait for it.
+struct ScatterJob {
+  size_t n = 0;
+  void* fn = nullptr;                       ///< the caller's callable
+  void (*invoke)(void* fn, size_t i) = nullptr;
+  std::atomic<size_t> next{0};
   std::mutex mu;
-  std::condition_variable done;
-  size_t remaining = n;
-  for (size_t i = 0; i < n; ++i) {
-    pool->Submit([&, i] {
-      fn(i);
-      std::lock_guard<std::mutex> lock(mu);
-      if (--remaining == 0) done.notify_all();
-    });
+  std::condition_variable all_done;
+  size_t done = 0;  ///< indices finished, guarded by `mu`
+
+  /// Claims and runs indices until none is left.
+  void Drain() {
+    size_t ran = 0;
+    for (size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < n;
+         ++ran) {
+      invoke(fn, i);
+    }
+    if (ran == 0) return;
+    std::lock_guard<std::mutex> lock(mu);
+    done += ran;
+    if (done == n) all_done.notify_all();
   }
-  std::unique_lock<std::mutex> lock(mu);
-  done.wait(lock, [&] { return remaining == 0; });
+};
+
+/// Runs fn(0..n-1) and returns when all n are done. The caller always does
+/// the work itself, in index order. Before each index it asks `alone()`;
+/// the first time that holds with at least two indices left, it offers up
+/// to one pool task per remaining index but one, and the caller and those
+/// helpers claim the rest from a shared counter. The caller then waits
+/// only for indices a helper actually claimed. An index therefore never
+/// waits in the pool's queue behind other work, and until helpers are
+/// offered there is no handoff, allocation or wakeup at all.
+template <typename Fn, typename Alone>
+void CallerRunsScatter(ThreadPool* pool, size_t n, Fn& fn,
+                       const Alone& alone) {
+  for (size_t i = 0; i < n; ++i) {
+    if (n - i >= 2 && alone()) {
+      auto job = std::make_shared<ScatterJob>();
+      job->n = n;
+      job->fn = &fn;
+      job->invoke = [](void* f, size_t j) { (*static_cast<Fn*>(f))(j); };
+      job->next.store(i, std::memory_order_relaxed);
+      job->done = i;
+      const size_t helpers = std::min(n - i - 1, pool->num_threads());
+      for (size_t h = 0; h < helpers; ++h) {
+        pool->Submit([job] { job->Drain(); });
+      }
+      job->Drain();
+      std::unique_lock<std::mutex> lock(job->mu);
+      job->all_done.wait(lock, [&] { return job->done == job->n; });
+      return;
+    }
+    fn(i);
+  }
 }
 
 /// One shard's contribution to one query.
@@ -82,6 +115,7 @@ struct ShardOutcome {
   Status status;
   SearchResult result;
   bool ran = false;  ///< false = shard was already dropped at snapshot time
+  bool excluded = false;  ///< failed and left out of this query's answer
 };
 
 /// Adds one source's outcome to a query's merged answer: its stats, its
@@ -154,6 +188,11 @@ struct Topology {
   std::vector<TextId> offsets;
   IndexMeta combined;  ///< sealed shards + delta
 
+  /// The set's one sketch family (SameSketchFamily holds for every shard
+  /// and the delta), so a query's sketch is computed once per topology
+  /// snapshot and shared by every source.
+  std::optional<SketchScheme> scheme;
+
   std::shared_ptr<Searcher> delta;  ///< nullptr when no memtable is set
   TextId delta_offset = 0;          ///< first global text id of the delta
   uint64_t applied_seqno = 0;       ///< WAL watermark of the sealed shards
@@ -184,6 +223,7 @@ std::shared_ptr<const Topology> BuildTopology(
   }
   topo->delta_offset = static_cast<TextId>(num_texts);
   topo->combined = topo->shards.front()->meta;
+  topo->scheme.emplace(topo->combined.Scheme());
   if (topo->delta != nullptr) {
     num_texts += topo->delta->meta().num_texts;
     total_tokens += topo->delta->meta().total_tokens;
@@ -220,7 +260,13 @@ std::vector<size_t> RunnableSlots(const Topology& topo) {
 struct ShardedSearcher::State {
   std::string set_dir;
   ShardedSearcherOptions options;
+  /// Runs scatter helpers only (see Scatter); a query's caller always
+  /// runs shards itself.
   std::unique_ptr<ThreadPool> pool;
+
+  /// Scatter calls in flight on this searcher, Search and batch queries
+  /// alike. A scatter offers the pool helpers only once it is alone.
+  std::atomic<size_t> scatters_in_flight{0};
 
   /// Guards the snapshot pointer only; held for the duration of a pointer
   /// copy or swap, never across IO.
@@ -246,7 +292,7 @@ struct ShardedSearcher::State {
   /// This is eager reclamation, not correctness: owner ids are never
   /// reused, so whatever an in-flight query on the old snapshot still
   /// loads under a retired id is unreachable by every later query and ages
-  /// out of the LRU on its own.
+  /// out of the cache on its own.
   void RetireCacheOwners(std::initializer_list<uint64_t> owners) {
     CrossQueryListCache* cache = ServerCache();
     if (cache == nullptr) return;
@@ -269,13 +315,16 @@ struct ShardedSearcher::State {
     topology = std::move(next);
   }
 
-  /// Runs one query over `topo`: scatters it to every shard not yet
-  /// dropped (and the delta) on `pool`, each shard reading its lists
-  /// through `cache` under its own owner id (nullptr = uncached), then
-  /// gathers. Search and every query of a SearchBatch come through here.
+  /// Runs one query over `topo`: computes its sketch once, searches every
+  /// shard not yet dropped (and the delta) with it, each shard reading its
+  /// lists through `cache` under its own owner id (nullptr = uncached),
+  /// then gathers. Search and every query of a SearchBatch come through
+  /// here. The calling thread runs shard searches itself; pool helpers
+  /// join it only once no other scatter is in flight (see Scatter).
   Status Scatter(const Topology& topo, std::span<const Token> query,
                  const SearchOptions& options, const QueryContext* ctx,
                  CrossQueryListCache* cache, SearchResult* result);
+  void RecordShardOutcome(ShardHandle& shard, ShardOutcome& sub);
   Status GatherQuery(const Topology& topo, std::vector<ShardOutcome>& subs,
                      SearchResult* result);
 
@@ -354,6 +403,55 @@ Status ShardedSearcher::State::ReopenShard(const std::string& dir,
   return Status::OK();
 }
 
+/// A sealed shard's health bookkeeping for one sub-query, run by the
+/// thread that ran it as soon as it returns. Recording here rather than at
+/// gather keeps each shard's outcomes in the order they happened: a
+/// failure is not recorded after a later query's success just because its
+/// own query still had other shards to search.
+///
+/// Under enable_self_healing ANY non-governance failure excludes the shard
+/// from this query's answer (survivors respond, degraded_shards counts it
+/// honestly) and is reported to the shard's health tracker, which decides
+/// whether the shard leaves the serving set — Corruption immediately,
+/// transient errors once a breaker trips. Without self-healing, a
+/// Corruption is isolated (the handle is dropped for good) when
+/// allow_shard_drop is on. Excluded shards' output is not trusted at all.
+void ShardedSearcher::State::RecordShardOutcome(ShardHandle& shard,
+                                                ShardOutcome& sub) {
+  if (!sub.status.ok() && options.enable_self_healing &&
+      !IsGovernanceStatus(sub.status)) {
+    if (shard.health->RecordFailure(sub.status, SteadyNowMicros())) {
+      shard.dropped.store(true, std::memory_order_relaxed);
+      NDSS_LOG(kWarning) << "self-healing: quarantining shard " << shard.dir
+                         << ": " << sub.status.ToString();
+      if (monitor != nullptr) monitor->Kick();
+    } else {
+      // Suspect (or concurrently quarantined): excluded from this answer
+      // only. Storms hit this line per query per shard, so rate-limit.
+      NDSS_LOG_EVERY_SECONDS(kWarning, 1.0)
+          << "degraded serving: excluding shard " << shard.dir
+          << " from this query: " << sub.status.ToString();
+    }
+    shard.health->RecordDrop();
+    sub.excluded = true;
+    return;
+  }
+  if (sub.status.IsCorruption() && options.allow_shard_drop) {
+    // Shard-level fault isolation: the shard is lying about its data, so
+    // nothing it produced for this query is trustworthy. Survivors answer
+    // with the shard's id range gone dark.
+    if (!shard.dropped.exchange(true)) {
+      NDSS_LOG(kWarning) << "degraded serving: dropping shard " << shard.dir
+                         << ": " << sub.status.ToString();
+    }
+    sub.excluded = true;
+    return;
+  }
+  if (sub.status.ok() && shard.health != nullptr) {
+    shard.health->RecordSuccess();
+  }
+}
+
 /// Merges the per-shard outcomes of one query into `*result`, remapping
 /// local text ids by each shard's concatenation offset. Shards are visited
 /// in topology order and their texts occupy disjoint ascending id ranges,
@@ -361,17 +459,11 @@ Status ShardedSearcher::State::ReopenShard(const std::string& dir,
 /// text-ascending order — this is what makes the merged output bit-
 /// identical to a search over the merged index.
 ///
-/// Failure merge: under enable_self_healing ANY non-governance failure
-/// excludes the shard from this query's answer (survivors respond,
-/// degraded_shards counts it honestly) and is reported to the shard's
-/// health tracker, which decides whether the shard leaves the serving set
-/// — Corruption immediately, transient errors once a breaker trips.
-/// Without self-healing, a Corruption is isolated (the handle is dropped
-/// for good) when allow_shard_drop is on; otherwise hard errors beat
-/// governance statuses, and within a class the lowest shard index wins.
-/// Failed shards still contribute their partial stats (and partial
-/// matches), honouring the partial-stats contract — except excluded ones,
-/// whose output is not trusted at all.
+/// Shards excluded by RecordShardOutcome (or dropped before the query
+/// started) contribute nothing. Otherwise hard errors beat governance
+/// statuses, and within a class the lowest shard index wins. Failed shards
+/// still contribute their partial stats (and partial matches), honouring
+/// the partial-stats contract.
 Status ShardedSearcher::State::GatherQuery(const Topology& topo,
                                            std::vector<ShardOutcome>& subs,
                                            SearchResult* result) {
@@ -386,42 +478,11 @@ Status ShardedSearcher::State::GatherQuery(const Topology& topo,
       }
       continue;
     }
-    ShardOutcome& sub = subs[i];
-    if (!sub.status.ok() && options.enable_self_healing &&
-        !IsGovernanceStatus(sub.status)) {
-      ShardHandle& shard = *topo.shards[i];
-      if (shard.health->RecordFailure(sub.status, SteadyNowMicros())) {
-        shard.dropped.store(true, std::memory_order_relaxed);
-        NDSS_LOG(kWarning) << "self-healing: quarantining shard " << shard.dir
-                           << ": " << sub.status.ToString();
-        if (monitor != nullptr) monitor->Kick();
-      } else {
-        // Suspect (or concurrently quarantined): excluded from this answer
-        // only. Storms hit this line per query per shard, so rate-limit.
-        NDSS_LOG_EVERY_SECONDS(kWarning, 1.0)
-            << "degraded serving: excluding shard " << shard.dir
-            << " from this query: " << sub.status.ToString();
-      }
-      shard.health->RecordDrop();
+    if (subs[i].excluded) {
       ++excluded;
       continue;
     }
-    if (sub.status.IsCorruption() && options.allow_shard_drop) {
-      // Shard-level fault isolation: the shard is lying about its data, so
-      // nothing it produced for this query is trustworthy. Survivors answer
-      // with the shard's id range gone dark.
-      if (!topo.shards[i]->dropped.exchange(true)) {
-        NDSS_LOG(kWarning) << "degraded serving: dropping shard "
-                           << topo.shards[i]->dir << ": "
-                           << sub.status.ToString();
-      }
-      ++excluded;
-      continue;
-    }
-    MergeOutcome(sub, topo.offsets[i], result, &governance, &hard_error);
-    if (sub.status.ok() && topo.shards[i]->health != nullptr) {
-      topo.shards[i]->health->RecordSuccess();
-    }
+    MergeOutcome(subs[i], topo.offsets[i], result, &governance, &hard_error);
   }
   // The delta memtable contributes last (its texts own the highest ids, so
   // appending keeps the text-ascending output order). It is in-memory and
@@ -454,7 +515,15 @@ Status ShardedSearcher::State::Scatter(const Topology& topo,
   if (runnable.empty()) {
     return Status::Corruption("every shard of the set is dropped");
   }
-  ScatterOnPool(pool.get(), runnable.size(), [&](size_t j) {
+  // One sketch per query, shared by every source (an empty query has none;
+  // each source rejects it itself).
+  Stopwatch sketch_time;
+  MinHashSketch sketch;
+  if (!query.empty()) {
+    sketch = ComputeSketch(*topo.scheme, query.data(), query.size());
+  }
+  const double sketch_seconds = sketch_time.ElapsedSeconds();
+  auto search_slot = [&](size_t j) {
     const size_t i = runnable[j];
     const bool is_delta = i == DeltaSlot(topo);
     Searcher* searcher =
@@ -462,30 +531,48 @@ Status ShardedSearcher::State::Scatter(const Topology& topo,
     // Each source looks up cached lists under its own immutable owner id,
     // so one cache serves every shard without mixing up their lists (a
     // nullptr cache degrades to the uncached path).
-    const ListCacheRef list_cache_ref{
-        cache, is_delta ? topo.delta_cache_owner : topo.shards[i]->cache_owner};
+    const ScatterInputs shared{
+        cache, is_delta ? topo.delta_cache_owner : topo.shards[i]->cache_owner,
+        query.empty() ? nullptr : &sketch};
     ShardOutcome& sub = subs[i];
     sub.ran = true;
     if (ctx == nullptr) {
       // Ungoverned fast path, bit-identical to the pre-governance shard
       // query.
       sub.status = searcher->Search(query, search_options, nullptr,
-                                    &sub.result, list_cache_ref);
-      return;
+                                    &sub.result, shared);
+    } else {
+      // Hierarchical governance: the deadline and cancel flag are shared
+      // verbatim; the shard gets an accounting-only arena parented to the
+      // query's budget, so the caller's cap spans the whole scatter while
+      // per-shard peaks stay observable.
+      QueryContext child;
+      if (ctx->has_deadline()) child.set_deadline(ctx->deadline());
+      child.set_cancel_flag(ctx->cancel_flag());
+      MemoryBudget arena(0, ctx->memory_budget());
+      if (ctx->memory_budget() != nullptr) child.set_memory_budget(&arena);
+      sub.status = searcher->Search(query, search_options, &child,
+                                    &sub.result, shared);
     }
-    // Hierarchical governance: the deadline and cancel flag are shared
-    // verbatim; the shard gets an accounting-only arena parented to the
-    // query's budget, so the caller's cap spans the whole scatter while
-    // per-shard peaks stay observable.
-    QueryContext child;
-    if (ctx->has_deadline()) child.set_deadline(ctx->deadline());
-    child.set_cancel_flag(ctx->cancel_flag());
-    MemoryBudget arena(0, ctx->memory_budget());
-    if (ctx->memory_budget() != nullptr) child.set_memory_budget(&arena);
-    sub.status = searcher->Search(query, search_options, &child, &sub.result,
-                                  list_cache_ref);
+    if (!is_delta) RecordShardOutcome(*topo.shards[i], sub);
+  };
+  // Fan-out policy. A probe's work sits mostly in the one shard holding its
+  // source text, so splitting a query across cores buys little latency,
+  // while handing shards to pool threads costs a queue, a wakeup and a
+  // barrier per query. While other scatters are in flight the caller
+  // therefore runs every shard itself and the cores stay busy with other
+  // queries; once it is alone (from the start, or because the others
+  // finished, as at the tail of a batch) it offers idle pool threads as
+  // helpers for its remaining shards, so a lone query spans the cores.
+  // Signals like "pool workers look idle" mislead here: they look idle
+  // exactly while callers run inline, and helpers then oversubscribe.
+  scatters_in_flight.fetch_add(1, std::memory_order_relaxed);
+  CallerRunsScatter(pool.get(), runnable.size(), search_slot, [this] {
+    return scatters_in_flight.load(std::memory_order_relaxed) == 1;
   });
+  scatters_in_flight.fetch_sub(1, std::memory_order_relaxed);
   const Status status = GatherQuery(topo, subs, result);
+  result->stats.cpu_seconds += sketch_seconds;
   result->stats.wall_seconds = wall.ElapsedSeconds();
   if (ctx != nullptr && ctx->memory_budget() != nullptr) {
     result->stats.peak_memory_bytes = ctx->memory_budget()->peak();
@@ -611,11 +698,11 @@ Result<BatchResult> ShardedSearcher::SearchBatch(
   if (RunnableSlots(*topo).empty()) {
     return Status::Corruption("every shard of the set is dropped");
   }
-  // A worker blocks while its query's shard searches run on the shared
-  // pool (so it is never a pool thread). At least as many queries in
-  // flight as the pool has threads keep the next query's shard searches
-  // queued while one query gathers; many more only make in-flight queries
-  // wait on each other's list loads.
+  // A worker runs its query's shard searches itself once other queries
+  // are in flight (see Scatter), so as many workers as the pool has
+  // threads keep that many cores busy with no handoff and no per-query
+  // gather barrier; many more only make in-flight queries wait on each
+  // other's list loads. The workers belong to the call, never to the pool.
   const size_t workers = std::max(num_threads, state_->pool->num_threads());
   return RunGovernedBatch(
       queries, limits, state_->ServerCache(), cache_budget_bytes, workers,

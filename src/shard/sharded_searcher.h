@@ -55,10 +55,12 @@ struct ShardedSearcherOptions {
   /// `enable_self_healing`).
   ShardHealthOptions health;
 
-  /// Worker threads for the scatter phase (each shard's sub-query runs on
-  /// one). 0 = one per shard at open time, capped at the hardware
-  /// concurrency. The pool is shared by every concurrent caller and every
-  /// query of a batch.
+  /// Helper threads for the scatter phase. The caller of Search runs
+  /// shard searches itself; these helpers join it only once its scatter
+  /// is the only one in flight on the searcher (see the class comment).
+  /// 0 = one per shard at open time, capped at the hardware concurrency.
+  /// The pool is shared by every concurrent caller and every query of a
+  /// batch.
   size_t num_threads = 0;
 };
 
@@ -85,10 +87,9 @@ struct ShardInfo {
 ///   NDSS_ASSIGN_OR_RETURN(SearchResult r, s.Search(query, options));
 ///
 /// Search / governed Search / SearchBatch scatter each query over every
-/// shard's proven single-shard path (in parallel on an internal pool),
-/// remap each shard's local text ids into global ids using the
-/// concatenation-offset semantics MergeIndexes documents, and concatenate
-/// in shard order. Because shards partition the corpus by text and the
+/// shard's proven single-shard path, remap each shard's local text ids
+/// into global ids using the concatenation-offset semantics MergeIndexes
+/// documents, and concatenate in shard order. Because shards partition the corpus by text and the
 /// single-shard algorithm is exact per text, the merged `rectangles` and
 /// `spans` are bit-identical to a Searcher over MergeIndexes({shards}) —
 /// the equivalence the sharded_searcher_test proves. SearchStats are the
@@ -97,6 +98,14 @@ struct ShardInfo {
 /// `degraded_funcs` is the worst shard's count, `degraded_shards` counts
 /// shards excluded from the answer, and `wall_seconds` is the end-to-end
 /// scatter-gather latency.
+///
+/// Who does the work: the query's sketch is computed once and shared by
+/// every shard (the set has one sketch family). The calling thread runs
+/// shard searches itself; once its scatter is the only one in flight on
+/// this searcher it also offers the internal pool helpers that claim the
+/// remaining shards with it, so one query on a quiet searcher spans the
+/// cores, while under concurrent load every caller runs its own shards
+/// with no handoff or gather barrier.
 ///
 /// Governance composes hierarchically: one deadline and cancel flag are
 /// shared by every shard's sub-query, and each shard gets an accounting
@@ -141,7 +150,8 @@ class ShardedSearcher {
   /// Batch scatter-gather: Searcher's batch loop (RunGovernedBatch) runs
   /// each query through Search's scatter, keeping `num_threads` queries,
   /// and at least one per scatter-pool thread, in flight on workers of the
-  /// call's own. Every query sees the topology snapshotted at the call; a
+  /// call's own; with several in flight, each worker runs its query's
+  /// shards itself. Every query sees the topology snapshotted at the call; a
   /// shard dropped partway through is skipped by later queries. Lists are
   /// read through the EnableListCache cache if enabled, else through one
   /// batch cache of `cache_budget_bytes` that every shard and the delta

@@ -55,6 +55,45 @@ TEST_F(InvertedIndexTest, SingleListRoundTrip) {
   EXPECT_EQ(loaded, windows);
 }
 
+/// FindList's contract for a source with lists at `keys`: every present
+/// key maps to its own directory entry (the very element, not a copy), and
+/// keys below, between and above them have none.
+void ExpectFindListContract(const InvertedListSource& source,
+                            const std::vector<Token>& keys) {
+  const std::vector<ListMeta>& directory = source.directory();
+  ASSERT_EQ(directory.size(), keys.size());
+  for (size_t i = 0; i < directory.size(); ++i) {
+    EXPECT_EQ(source.FindList(directory[i].key), &directory[i]) << i;
+  }
+  std::vector<Token> absent = {0, keys.front() - 1, keys.back() + 1,
+                               0xffffffffu};
+  for (size_t i = 1; i < keys.size(); ++i) {
+    if (keys[i] - keys[i - 1] > 1) absent.push_back(keys[i] - 1);
+    if (keys[i] - keys[i - 1] > 2) absent.push_back(keys[i - 1] + 1);
+  }
+  for (Token key : absent) {
+    if (std::binary_search(keys.begin(), keys.end(), key)) continue;
+    EXPECT_EQ(source.FindList(key), nullptr) << key;
+  }
+}
+
+TEST_F(InvertedIndexTest, FindListReturnsTheDirectoryEntry) {
+  const std::vector<Token> keys = {3, 4, 9, 100, 101, 5000, 77777};
+  auto writer = InvertedIndexWriter::Create(path_, 0, 64, 1 << 30);
+  ASSERT_TRUE(writer.ok());
+  for (Token key : keys) {
+    ASSERT_TRUE(writer->BeginList(key).ok());
+    ASSERT_TRUE(writer->AddWindow(PostedWindow{key % 7, 0, 0, 1}).ok());
+  }
+  ASSERT_TRUE(writer->Finish().ok());
+  auto reader = InvertedIndexReader::Open(path_);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ExpectFindListContract(*reader, keys);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(reader->directory()[i].key, keys[i]);
+  }
+}
+
 TEST_F(InvertedIndexTest, UnsortedKeysGetSortedDirectory) {
   auto writer = InvertedIndexWriter::Create(path_, 0, 64, 1 << 30);
   ASSERT_TRUE(writer.ok());

@@ -1,4 +1,4 @@
-// CrossQueryListCache correctness: budget/LRU/parent accounting at the
+// CrossQueryListCache correctness: budget/CLOCK/parent accounting at the
 // unit level, then the serving-level guarantees through ShardedSearcher —
 // cached answers bit-identical to uncached ones, hits actually recorded,
 // and (the part that matters) no stale list ever served across topology
@@ -139,6 +139,74 @@ TEST(ListCacheTest, AbandonDropsOnlyTheSameEntry) {
   EXPECT_NE(failed, retry) << "a later query must get a fresh entry";
   cache.Abandon(key, failed);  // stale abandon: must not touch the retry
   EXPECT_EQ(cache.GetOrCreate(key), retry);
+}
+
+/// Accounted size of a Load(..., windows) entry.
+constexpr uint64_t EntryBytes(size_t windows) {
+  return windows * sizeof(PostedWindow) + CrossQueryListCache::kEntryOverhead;
+}
+
+/// Keys that hash to `anchor`'s internal shard (including `anchor`), found
+/// by probing: in a cache with room for one entry per shard, loading a
+/// second key evicts the first only when they share a shard.
+std::vector<Key> SameShardKeys(const Key& anchor, size_t count) {
+  std::vector<Key> keys = {anchor};
+  for (uint64_t list = anchor.list + 1; keys.size() < count; ++list) {
+    CrossQueryListCache probe(CrossQueryListCache::kShards * EntryBytes(10));
+    Load(probe, anchor, 10);
+    Load(probe, Key{anchor.owner, list}, 10);
+    if (probe.counters().evictions == 1) keys.push_back({anchor.owner, list});
+  }
+  return keys;
+}
+
+TEST(ListCacheTest, ClockGivesAReferencedEntryASecondChance) {
+  const std::vector<Key> keys = SameShardKeys(Key{1, 0}, 4);
+  const Key a = keys[0], b = keys[1], c = keys[2], d = keys[3];
+  // Room for exactly two entries in the shard the keys share.
+  CrossQueryListCache cache(CrossQueryListCache::kShards * 2 * EntryBytes(10));
+  const std::shared_ptr<Entry> entry_a = Load(cache, a, 10);
+  Load(cache, b, 10);
+  const CrossQueryListCache::Counters loaded = cache.counters();
+  EXPECT_EQ(loaded.entries, 2u);
+  EXPECT_EQ(loaded.bytes_used, 2 * EntryBytes(10));
+
+  // A hit only sets a reference bit: no bytes, no entries move.
+  EXPECT_EQ(cache.GetOrCreate(a), entry_a);
+  const CrossQueryListCache::Counters hit = cache.counters();
+  EXPECT_EQ(hit.entries, loaded.entries);
+  EXPECT_EQ(hit.bytes_used, loaded.bytes_used);
+  EXPECT_EQ(hit.evictions, 0u);
+
+  // Making room for c passes over the older but referenced a (clearing its
+  // bit) and evicts the unreferenced b.
+  Load(cache, c, 10);
+  EXPECT_EQ(cache.counters().evictions, 1u);
+  const std::shared_ptr<Entry> loading_b = cache.GetOrCreate(b);
+  EXPECT_FALSE(loading_b->stored) << "b was evicted";
+
+  // The chance is only a second one: with no hit since, a goes next. The
+  // entry b now has is loading (never committed), so it is never evicted.
+  Load(cache, d, 10);
+  EXPECT_EQ(cache.counters().evictions, 2u);
+  EXPECT_EQ(cache.GetOrCreate(b), loading_b) << "a loading entry stays";
+  EXPECT_FALSE(cache.GetOrCreate(a)->stored) << "a was evicted";
+  EXPECT_TRUE(cache.GetOrCreate(c)->stored);
+  EXPECT_TRUE(cache.GetOrCreate(d)->stored);
+  EXPECT_LE(cache.counters().bytes_used, 2 * EntryBytes(10));
+}
+
+TEST(ListCacheTest, LoadingEntriesAreNeverEvicted) {
+  const std::vector<Key> keys = SameShardKeys(Key{2, 0}, 3);
+  // Room for one entry in the shard: a loading entry holds no bytes, so
+  // commits around it proceed, and it survives every eviction pass.
+  CrossQueryListCache cache(CrossQueryListCache::kShards * EntryBytes(10));
+  const std::shared_ptr<Entry> loading = cache.GetOrCreate(keys[0]);
+  Load(cache, keys[1], 10);
+  Load(cache, keys[2], 10);
+  EXPECT_EQ(cache.counters().evictions, 1u);
+  EXPECT_EQ(cache.GetOrCreate(keys[0]), loading);
+  EXPECT_FALSE(loading->stored);
 }
 
 // ---- serving-level behavior through ShardedSearcher ----
@@ -282,6 +350,7 @@ TEST_F(ListCacheServingTest, SingleQueryPathHitsTheCache) {
   auto cached = ShardedSearcher::Open(set_dir);
   ASSERT_TRUE(cached.ok());
   ASSERT_TRUE(cached->EnableListCache(64ull << 20).ok());
+  uint64_t hits = 0;
   for (const std::vector<Token>& query : queries_) {
     auto expect = uncached->Search(query, search_options());
     ASSERT_TRUE(expect.ok());
@@ -294,7 +363,10 @@ TEST_F(ListCacheServingTest, SingleQueryPathHitsTheCache) {
     EXPECT_EQ(repeat->stats.shared_cache_hits, repeat->stats.short_lists)
         << "a repeated query must be served from the cache";
     EXPECT_GT(repeat->stats.shared_cache_hits, 0u);
+    hits += first->stats.shared_cache_hits + repeat->stats.shared_cache_hits;
   }
+  // Searches publish their hits in one call each; the counter stays exact.
+  EXPECT_EQ(cached->list_cache()->counters().hits, hits);
 }
 
 TEST_F(ListCacheServingTest, DetachRetiresTheShardsEntries) {

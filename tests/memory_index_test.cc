@@ -44,6 +44,26 @@ TEST(InMemoryIndexTest, WindowCountMatchesDiskBuild) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(InMemoryIndexTest, FindListReturnsTheDirectoryEntry) {
+  SyntheticCorpus sc = SmallCorpus();
+  SketchScheme family(SketchSchemeId::kIndependent, 2, 0x5eed5eed5eed5eedULL);
+  InMemoryInvertedIndex index(sc.corpus, family, 1, 20);
+  const std::vector<ListMeta>& directory = index.directory();
+  ASSERT_GT(directory.size(), 2u);
+  for (size_t i = 0; i < directory.size(); ++i) {
+    EXPECT_EQ(index.FindList(directory[i].key), &directory[i]) << i;
+  }
+  std::vector<Token> absent = {directory.back().key + 1, 0xffffffffu};
+  if (directory.front().key > 0) absent.push_back(directory.front().key - 1);
+  for (size_t i = 1; i < directory.size(); ++i) {
+    if (directory[i].key - directory[i - 1].key > 1) {
+      absent.push_back(directory[i].key - 1);
+    }
+  }
+  ASSERT_GT(absent.size(), 2u) << "no gap between keys to probe";
+  for (Token key : absent) EXPECT_EQ(index.FindList(key), nullptr) << key;
+}
+
 TEST(InMemoryIndexTest, PointLookupMatchesFullList) {
   SyntheticCorpus sc = SmallCorpus();
   SketchScheme family(SketchSchemeId::kIndependent, 1, 7);

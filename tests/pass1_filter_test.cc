@@ -408,7 +408,11 @@ class FixedListSource : public InvertedListSource {
  public:
   explicit FixedListSource(std::vector<PostedWindow> list)
       : list_(std::move(list)) {
-    if (!list_.empty()) directory_.push_back({0, list_.size()});
+    if (!list_.empty()) {
+      ListMeta meta;
+      meta.count = list_.size();
+      directory_.push_back(meta);
+    }
   }
 
   using InvertedListSource::ReadList;

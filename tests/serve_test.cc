@@ -18,6 +18,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -81,6 +83,89 @@ std::string SearchBody(const std::vector<Token>& query, double theta,
     body.Set("debug_sleep_ms", JsonValue::Number(sleep_ms));
   }
   return body.Dump();
+}
+
+/// The keys of a JSON object, in order.
+std::vector<std::string> Keys(const JsonValue& object) {
+  std::vector<std::string> keys;
+  for (const JsonValue::Member& member : object.members()) {
+    keys.push_back(member.first);
+  }
+  return keys;
+}
+
+/// A SearchStats object built field by field as a tree: the reference the
+/// direct reply writer must match byte for byte.
+JsonValue ReferenceStatsTree(const SearchStats& stats) {
+  JsonValue v = JsonValue::Object();
+  v.Set("io_bytes", JsonValue::Number(stats.io_bytes));
+  v.Set("short_lists", JsonValue::Number(uint64_t{stats.short_lists}));
+  v.Set("long_lists", JsonValue::Number(uint64_t{stats.long_lists}));
+  v.Set("empty_lists", JsonValue::Number(uint64_t{stats.empty_lists}));
+  v.Set("cache_hits", JsonValue::Number(uint64_t{stats.cache_hits}));
+  v.Set("shared_cache_hits",
+        JsonValue::Number(uint64_t{stats.shared_cache_hits}));
+  v.Set("windows_scanned", JsonValue::Number(stats.windows_scanned));
+  v.Set("pass1_candidates", JsonValue::Number(stats.pass1_candidates));
+  v.Set("groups_swept", JsonValue::Number(stats.groups_swept));
+  v.Set("candidate_texts", JsonValue::Number(stats.candidate_texts));
+  v.Set("degraded_funcs", JsonValue::Number(uint64_t{stats.degraded_funcs}));
+  v.Set("degraded_shards",
+        JsonValue::Number(uint64_t{stats.degraded_shards}));
+  v.Set("wall_seconds", JsonValue::Number(stats.wall_seconds));
+  v.Set("peak_memory_bytes", JsonValue::Number(stats.peak_memory_bytes));
+  return v;
+}
+
+/// The /v1/search 200 body for `result`, built as a tree.
+JsonValue ReferenceReplyTree(const SearchResult& result) {
+  JsonValue body = JsonValue::Object();
+  body.Set("code", JsonValue::String("OK"));
+  JsonValue spans = JsonValue::Array();
+  for (const MatchSpan& span : result.spans) {
+    JsonValue v = JsonValue::Object();
+    v.Set("text", JsonValue::Number(uint64_t{span.text}));
+    v.Set("begin", JsonValue::Number(uint64_t{span.begin}));
+    v.Set("end", JsonValue::Number(uint64_t{span.end}));
+    v.Set("collisions", JsonValue::Number(uint64_t{span.collisions}));
+    v.Set("similarity", JsonValue::Number(span.estimated_similarity));
+    spans.Append(std::move(v));
+  }
+  body.Set("spans", std::move(spans));
+  JsonValue rectangles = JsonValue::Array();
+  for (const TextMatchRectangle& r : result.rectangles) {
+    JsonValue v = JsonValue::Object();
+    v.Set("text", JsonValue::Number(uint64_t{r.text}));
+    v.Set("x_begin", JsonValue::Number(uint64_t{r.rect.x_begin}));
+    v.Set("x_end", JsonValue::Number(uint64_t{r.rect.x_end}));
+    v.Set("y_begin", JsonValue::Number(uint64_t{r.rect.y_begin}));
+    v.Set("y_end", JsonValue::Number(uint64_t{r.rect.y_end}));
+    v.Set("collisions", JsonValue::Number(uint64_t{r.rect.collisions}));
+    rectangles.Append(std::move(v));
+  }
+  body.Set("rectangles", std::move(rectangles));
+  body.Set("stats", ReferenceStatsTree(result.stats));
+  return body;
+}
+
+/// What the writer prints for `result` as a /v1/search 200 body.
+std::string WrittenReply(const SearchResult& result) {
+  std::string text;
+  net::JsonWriter w(&text);
+  w.BeginObject();
+  w.Key("code");
+  w.String("OK");
+  net::WriteSearchResult(result, &w);
+  w.EndObject();
+  return text;
+}
+
+/// A served body is exactly what a tree prints: parsing and re-dumping it
+/// changes no byte.
+void ExpectTreeCanonical(const std::string& body) {
+  auto parsed = ParseJson(body);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->Dump(), body);
 }
 
 /// Number field of a (nested) response object, or -1.
@@ -228,6 +313,62 @@ class ServeTest : public ::testing::Test {
   std::unique_ptr<HttpServer> server_;
 };
 
+TEST(JsonWriterTest, NumbersPrintLikePrintf) {
+  // Integral values below 2^53 as %lld, everything else as %.17g: the
+  // formats the tree printed with snprintf before the writer shared its
+  // std::to_chars printer.
+  const double two53 = 9007199254740992.0;
+  for (const double value :
+       {0.0, -0.0, 1.0, -1.0, 42.0, 0.8, 0.1, 1.0 / 3.0, -2.5, 1.5e-7,
+        123456.789, 6.02214076e23, 1e300, -1e-300, 4.9e-324, two53 - 1,
+        two53, two53 + 2, -(two53 - 1), 1.8446744073709552e19, 0.6,
+        2.0 / 3.0, 1e15 + 0.5}) {
+    char expected[64];
+    if (value == std::floor(value) && std::abs(value) < two53) {
+      std::snprintf(expected, sizeof(expected), "%lld",
+                    static_cast<long long>(value));
+    } else {
+      std::snprintf(expected, sizeof(expected), "%.17g", value);
+    }
+    std::string written;
+    net::JsonWriter w(&written);
+    w.Number(value);
+    EXPECT_EQ(written, expected) << value;
+    EXPECT_EQ(JsonValue::Number(value).Dump(), expected) << value;
+  }
+}
+
+TEST(JsonWriterTest, ReplyBytesEqualTheTreeDump) {
+  SearchResult full;
+  full.spans.push_back(MatchSpan{3, 10, 74, 7, 7.0 / 9.0});
+  full.spans.push_back(MatchSpan{4000000000u, 0, 4294967295u, 9, 1.0});
+  full.rectangles.push_back(
+      TextMatchRectangle{3, MatchRectangle{10, 12, 70, 74, 7}});
+  full.rectangles.push_back(
+      TextMatchRectangle{0, MatchRectangle{0, 0, 0, 0, 0}});
+  full.stats.io_bytes = (uint64_t{1} << 53) - 1;
+  full.stats.windows_scanned = (uint64_t{1} << 53) + 1;
+  full.stats.pass1_candidates = uint64_t{1} << 53;
+  full.stats.short_lists = 0xffffffffu;
+  full.stats.shared_cache_hits = 31;
+  full.stats.wall_seconds = 0.000123456789012345;
+  full.stats.peak_memory_bytes = 0;
+  SearchResult empty;  // empty arrays, zero counters
+  empty.stats.wall_seconds = 1e-9;
+  for (const SearchResult* result : {&full, &empty}) {
+    const std::string written = WrittenReply(*result);
+    EXPECT_EQ(written, ReferenceReplyTree(*result).Dump());
+    JsonValue tree = JsonValue::Object();
+    tree.Set("code", JsonValue::String("OK"));
+    net::SearchResultToJson(*result, &tree);
+    EXPECT_EQ(written, tree.Dump());
+    EXPECT_EQ(net::SearchStatsToJson(result->stats).Dump(),
+              ReferenceStatsTree(result->stats).Dump());
+  }
+  EXPECT_NE(WrittenReply(empty).find("\"spans\":[],\"rectangles\":[]"),
+            std::string::npos);
+}
+
 TEST_F(ServeTest, SearchMatchesDirectSearcherBitForBit) {
   StartServer(ServeOptions{});
   SearchOptions options;
@@ -242,6 +383,15 @@ TEST_F(ServeTest, SearchMatchesDirectSearcherBitForBit) {
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
     EXPECT_EQ(parsed->Find("code")->string_value(), "OK");
     EXPECT_EQ(AnswerKey(*parsed), AnswerKey(*direct));
+    // The reply, written without a tree, is byte for byte the tree's dump
+    // once the served stats stand in for the direct search's.
+    SearchResult served = *direct;
+    served.stats.wall_seconds = NumberField(*parsed->Find("stats"),
+                                            "wall_seconds");
+    const std::string answer = ReferenceReplyTree(served).Dump();
+    ExpectTreeCanonical(response.body);
+    EXPECT_EQ(response.body.substr(0, response.body.find("\"stats\"")),
+              answer.substr(0, answer.find("\"stats\"")));
   }
 }
 
@@ -276,7 +426,13 @@ TEST_F(ServeTest, SearchBatchMatchesDirectSearcher) {
     const JsonValue& entry = results->array()[i];
     EXPECT_EQ(entry.Find("code")->string_value(), "OK") << "query " << i;
     EXPECT_EQ(AnswerKey(entry), AnswerKey(*direct)) << "query " << i;
+    EXPECT_EQ(Keys(entry), (std::vector<std::string>{
+                               "code", "http", "spans", "rectangles",
+                               "stats"}));
   }
+  ExpectTreeCanonical(response.body);
+  EXPECT_EQ(Keys(*parsed), (std::vector<std::string>{"code", "results",
+                                                     "batch_stats"}));
   const JsonValue* batch_stats = parsed->Find("batch_stats");
   ASSERT_NE(batch_stats, nullptr);
   EXPECT_EQ(NumberField(*batch_stats, "queries_ok"),
@@ -340,6 +496,11 @@ TEST_F(ServeTest, TinyDeadlineIs504WithPartialStats) {
   const JsonValue* stats = parsed->Find("stats");
   ASSERT_NE(stats, nullptr);
   EXPECT_GE(NumberField(*stats, "wall_seconds"), 0);
+  // Written in one pass, the error body is still exactly the tree's dump.
+  ExpectTreeCanonical(response.body);
+  EXPECT_EQ(Keys(*parsed),
+            (std::vector<std::string>{"code", "error", "stats"}));
+  EXPECT_EQ(Keys(*stats), Keys(ReferenceStatsTree(SearchStats{})));
 
   // The header wins over the body field.
   HttpClient client;
@@ -399,7 +560,10 @@ TEST_F(ServeTest, TinyDeadlineIs504WithPartialStats) {
     for (const JsonValue& entry : results->array()) {
       const std::string code = entry.Find("code")->string_value();
       EXPECT_TRUE(code == "Cancelled" || code == "DeadlineExceeded") << code;
+      EXPECT_EQ(Keys(entry), (std::vector<std::string>{"code", "http",
+                                                       "error", "stats"}));
     }
+    ExpectTreeCanonical(response.body);
     const JsonValue* batch_stats = batch->Find("batch_stats");
     ASSERT_NE(batch_stats, nullptr);
     EXPECT_EQ(NumberField(*batch_stats, "queries_shed") +

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/coding.h"
@@ -132,18 +133,21 @@ class ShardedSearcherTest : public ::testing::Test {
   /// failure_injection_test uses).
   void CorruptShardLists(const std::string& shard_dir) {
     for (uint32_t func = 0; func < build_.k; ++func) {
-      const std::string path =
-          IndexMeta::InvertedIndexPath(shard_dir, func);
-      auto data = ReadFileToString(path);
-      ASSERT_TRUE(data.ok());
-      const uint64_t directory_offset = DecodeFixed64(
-          data->data() + data->size() - index_format::kFooterSize + 16);
-      for (uint64_t i = index_format::kHeaderSize; i < directory_offset;
-           ++i) {
-        (*data)[i] ^= 0x5a;
-      }
-      ASSERT_TRUE(WriteStringToFile(path, *data).ok());
+      CorruptFunctionLists(shard_dir, func);
     }
+  }
+
+  /// The same injection for one hash function's file only.
+  void CorruptFunctionLists(const std::string& shard_dir, uint32_t func) {
+    const std::string path = IndexMeta::InvertedIndexPath(shard_dir, func);
+    auto data = ReadFileToString(path);
+    ASSERT_TRUE(data.ok());
+    const uint64_t directory_offset = DecodeFixed64(
+        data->data() + data->size() - index_format::kFooterSize + 16);
+    for (uint64_t i = index_format::kHeaderSize; i < directory_offset; ++i) {
+      (*data)[i] ^= 0x5a;
+    }
+    ASSERT_TRUE(WriteStringToFile(path, *data).ok());
   }
 
   std::string dir_;
@@ -274,6 +278,128 @@ TEST_F(ShardedSearcherTest, GovernedBatchStaysBitIdentical) {
   for (const Status& status : exhausted->statuses) {
     EXPECT_TRUE(status.IsResourceExhausted()) << status.ToString();
   }
+}
+
+TEST_F(ShardedSearcherTest, BothFanOutPathsStayBitIdentical) {
+  // A lone caller offers pool helpers; concurrent callers run every shard
+  // on their own thread. Either way the answer must be the merged index's.
+  WriteManifest({ShardDir(0), ShardDir(1), ShardDir(2)});
+  ShardedSearcherOptions sharded_options;
+  sharded_options.num_threads = 2;
+  auto sharded = ShardedSearcher::Open(SetDir(), sharded_options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  Searcher merged = MergedBaseline({ShardDir(0), ShardDir(1), ShardDir(2)});
+
+  SearchOptions options;
+  options.theta = 0.6;
+  const auto queries = MakeQueries(12);
+  std::vector<SearchResult> expected;
+  size_t total_spans = 0;
+  for (const auto& query : queries) {
+    auto answer = merged.Search(query, options);
+    ASSERT_TRUE(answer.ok());
+    total_spans += answer->spans.size();
+    expected.push_back(std::move(*answer));
+  }
+  ASSERT_GT(total_spans, 0u) << "vacuous equivalence";
+
+  // Runs every query ungoverned and governed (a permissive context).
+  auto run_all = [&](const std::string& label) {
+    for (size_t q = 0; q < queries.size(); ++q) {
+      auto plain = sharded->Search(queries[q], options);
+      ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+      ExpectSameMatches(expected[q], *plain, label + " ungoverned");
+      QueryContext ctx = QueryContext::WithTimeout(60'000'000);
+      MemoryBudget budget(1ull << 30);
+      ctx.set_memory_budget(&budget);
+      SearchResult governed;
+      ASSERT_TRUE(sharded->Search(queries[q], options, &ctx, &governed).ok());
+      ExpectSameMatches(expected[q], governed, label + " governed");
+    }
+  };
+  run_all("one caller");
+
+  // 8 callers over a 2-thread pool: scatters overlap, so most run inline.
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 8; ++t) {
+    callers.emplace_back([&, t] {
+      for (int round = 0; round < 3; ++round) {
+        run_all("caller " + std::to_string(t));
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+}
+
+TEST_F(ShardedSearcherTest, SharedSketchKeepsDegradedAnswers) {
+  // One sketch per query, computed by the ShardedSearcher and shared by
+  // every shard, must answer exactly as each shard computing its own —
+  // also when shards search with fewer functions: shard 1 loses function 2
+  // mid-query (a corrupt list), shard 2 loses function 0 at open.
+  WriteManifest({ShardDir(0), ShardDir(1), ShardDir(2)});
+  CorruptFunctionLists(ShardDir(1), 2);
+  std::filesystem::remove(IndexMeta::InvertedIndexPath(ShardDir(2), 0));
+
+  SearcherOptions degraded_open;
+  degraded_open.allow_degraded = true;
+  ShardedSearcherOptions sharded_options;
+  sharded_options.shard_options = degraded_open;
+  auto sharded = ShardedSearcher::Open(SetDir(), sharded_options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  std::vector<Searcher> own_sketch;
+  for (uint32_t s = 0; s < 3; ++s) {
+    auto searcher = Searcher::Open(ShardDir(s), degraded_open);
+    ASSERT_TRUE(searcher.ok()) << searcher.status().ToString();
+    own_sketch.push_back(std::move(*searcher));
+  }
+
+  SearchOptions options;
+  options.theta = 0.6;
+  options.allow_degraded = true;
+  size_t total_spans = 0;
+  for (const auto& query : MakeQueries(12)) {
+    // The expected answer: each shard on its own, ids shifted by offset.
+    SearchResult expected;
+    for (uint32_t s = 0; s < 3; ++s) {
+      auto part = own_sketch[s].Search(query, options);
+      ASSERT_TRUE(part.ok()) << part.status().ToString();
+      for (TextMatchRectangle r : part->rectangles) {
+        r.text += s * kShardTexts;
+        expected.rectangles.push_back(r);
+      }
+      for (MatchSpan span : part->spans) {
+        span.text += s * kShardTexts;
+        expected.spans.push_back(span);
+      }
+    }
+    auto actual = sharded->Search(query, options);
+    ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+    ExpectSameMatches(expected, *actual, "shared sketch");
+    EXPECT_EQ(actual->stats.degraded_funcs, 1u);
+    total_spans += actual->spans.size();
+  }
+  EXPECT_GT(total_spans, 0u) << "vacuous equivalence";
+
+  // A Searcher handed a sketch answers as it would computing its own, and
+  // refuses a sketch of the wrong family size.
+  const std::vector<Token> query = MakeQueries(1).front();
+  const MinHashSketch sketch = ComputeSketch(
+      sharded->meta().Scheme(), query.data(), query.size());
+  auto own = own_sketch[1].Search(query, options);
+  ASSERT_TRUE(own.ok());
+  SearchResult shared;
+  ASSERT_TRUE(own_sketch[1]
+                  .Search(query, options, nullptr, &shared,
+                          ScatterInputs{.sketch = &sketch})
+                  .ok());
+  ExpectSameMatches(*own, shared, "sketch handed in");
+  MinHashSketch short_sketch = sketch;
+  short_sketch.argmin_tokens.pop_back();
+  short_sketch.min_hashes.pop_back();
+  EXPECT_TRUE(own_sketch[1]
+                  .Search(query, options, nullptr, &shared,
+                          ScatterInputs{.sketch = &short_sketch})
+                  .IsInvalidArgument());
 }
 
 TEST_F(ShardedSearcherTest, ExpiredDeadlineFailsWithPartialStats) {
