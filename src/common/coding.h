@@ -68,6 +68,18 @@ inline void PutVarint64(std::string* dst, uint64_t value) {
   dst->push_back(static_cast<char>(value));
 }
 
+/// Maps a signed value onto an unsigned one whose varint is short when the
+/// magnitude is small: 0, -1, 1, -2, ... become 0, 1, 2, 3, ...
+inline uint64_t ZigZagEncode64(int64_t value) {
+  return (static_cast<uint64_t>(value) << 1) ^
+         static_cast<uint64_t>(value >> 63);
+}
+
+/// Inverse of ZigZagEncode64.
+inline int64_t ZigZagDecode64(uint64_t value) {
+  return static_cast<int64_t>(value >> 1) ^ -static_cast<int64_t>(value & 1);
+}
+
 /// Decodes a 32-bit varint from [p, limit). Returns the position after the
 /// varint, or nullptr on truncated/overlong input.
 inline const char* GetVarint32(const char* p, const char* limit,

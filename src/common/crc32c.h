@@ -8,7 +8,7 @@ namespace ndss {
 namespace crc32c {
 
 /// CRC-32C (Castagnoli, polynomial 0x1EDC6F41, reflected 0x82F63B78) —
-/// the checksum used by every v2 on-disk format. Software slice-by-8
+/// the checksum used by every checksummed on-disk format. Software slice-by-8
 /// implementation: eight table lookups per 8 input bytes.
 
 /// Returns the CRC of the concatenation of A and `data[0, n)`, where
@@ -22,7 +22,7 @@ inline constexpr uint32_t kMaskDelta = 0xa282ead8u;
 
 /// Masked CRC, as stored on disk. Storing the CRC of a region that itself
 /// contains embedded CRCs is error-prone (a CRC of data including its own
-/// CRC has pathological properties); all v2 formats store masked values.
+/// CRC has pathological properties); every format stores masked values.
 inline uint32_t Mask(uint32_t crc) {
   return ((crc >> 15) | (crc << 17)) + kMaskDelta;
 }

@@ -13,10 +13,12 @@ namespace idx = index_format;
 
 InvertedIndexReader::InvertedIndexReader(FileReader reader, uint32_t func,
                                          uint32_t zone_step,
+                                         uint32_t zone_threshold,
                                          idx::PostingFormat format)
     : reader_(std::move(reader)),
       func_(func),
       zone_step_(zone_step),
+      zone_threshold_(zone_threshold),
       format_(format) {}
 
 Result<InvertedIndexReader> InvertedIndexReader::Open(
@@ -34,11 +36,17 @@ Result<InvertedIndexReader> InvertedIndexReader::Open(
         "index file is format v1 (no checksums): " + path +
         "; rebuild the index with this version");
   }
+  if (magic == idx::kIndexMagicV2) {
+    return Status::InvalidArgument(
+        "index file is format v2 (fixed-size directory entries): " + path +
+        "; rebuild the index with this version");
+  }
   if (magic != idx::kIndexMagic) {
     return Status::Corruption("bad index header magic: " + path);
   }
   const uint32_t func = DecodeFixed32(header + 8);
   const uint32_t zone_step = DecodeFixed32(header + 12);
+  const uint32_t zone_threshold = DecodeFixed32(header + 16);
   const uint32_t format_raw = DecodeFixed32(header + 20);
   if (format_raw > idx::kFormatCompressed) {
     return Status::Corruption("unknown posting format in " + path);
@@ -61,43 +69,121 @@ Result<InvertedIndexReader> InvertedIndexReader::Open(
   if (footer_magic != idx::kIndexMagic) {
     return Status::Corruption("bad index footer magic: " + path);
   }
-  if (directory_offset + num_lists * idx::kDirectoryEntrySize +
-          idx::kFooterSize !=
-      reader.size()) {
-    return Status::Corruption("index directory size mismatch: " + path);
+  const uint64_t metadata_end = reader.size() - idx::kFooterSize;
+  if (directory_offset < idx::kHeaderSize || directory_offset > metadata_end) {
+    return Status::Corruption("index directory offset out of range: " + path);
   }
   InvertedIndexReader result(std::move(reader), func, zone_step,
+                             zone_threshold,
                              static_cast<idx::PostingFormat>(format_raw));
   result.num_windows_ = num_windows;
-  // Directory, verified against the footer checksum (which covers header ++
-  // directory ++ the footer's first 24 bytes).
-  std::vector<char> raw(num_lists * idx::kDirectoryEntrySize);
-  if (!raw.empty()) {
-    NDSS_RETURN_NOT_OK(
-        result.reader_.ReadAt(directory_offset, raw.data(), raw.size()));
+  // Directory and zone CRC table, verified against the footer checksum
+  // (which covers header ++ both ++ the footer's first 24 bytes) before a
+  // byte of them is decoded.
+  std::vector<char> metadata(metadata_end - directory_offset);
+  if (!metadata.empty()) {
+    NDSS_RETURN_NOT_OK(result.reader_.ReadAt(directory_offset,
+                                             metadata.data(),
+                                             metadata.size()));
   }
   uint32_t crc = crc32c::Value(header, sizeof(header));
-  crc = crc32c::Extend(crc, raw.data(), raw.size());
+  crc = crc32c::Extend(crc, metadata.data(), metadata.size());
   crc = crc32c::Extend(crc, footer, 24);
   if (crc != crc32c::Unmask(stored_checksum)) {
     return Status::Corruption("index metadata checksum mismatch: " + path);
   }
-  result.directory_.resize(num_lists);
-  result.keys_.resize(num_lists);
-  for (uint64_t i = 0; i < num_lists; ++i) {
-    const char* p = raw.data() + i * idx::kDirectoryEntrySize;
-    ListMeta& meta = result.directory_[i];
-    meta.key = DecodeFixed32(p);
-    meta.list_crc = DecodeFixed32(p + 4);
-    meta.count = DecodeFixed64(p + 8);
-    meta.list_offset = DecodeFixed64(p + 16);
-    meta.list_bytes = DecodeFixed64(p + 24);
-    meta.zone_offset = DecodeFixed64(p + 32);
-    meta.zone_count = DecodeFixed32(p + 40);
-    meta.zone_crc = DecodeFixed32(p + 44);
-    result.keys_[i] = meta.key;
+  const Status decoded = result.DecodeDirectory(
+      metadata.data(), metadata.size(), num_lists, directory_offset);
+  if (!decoded.ok()) {
+    return Status::Corruption(decoded.message() + ": " + path);
   }
   return result;
+}
+
+Status InvertedIndexReader::DecodeDirectory(const char* metadata,
+                                            size_t size, uint64_t num_lists,
+                                            uint64_t directory_offset) {
+  if (num_lists > size / idx::kMinDirectoryEntrySize) {
+    return Status::Corruption("index directory shorter than its list count");
+  }
+  directory_.resize(num_lists);
+  // Zone offsets are collected relative to the zone section, whose start
+  // (the end of the lists) is known once every list length is.
+  std::vector<ZoneRef> zones;
+  const char* p = metadata;
+  const char* const limit = metadata + size;
+  uint64_t key = 0;
+  uint64_t list_offset = idx::kHeaderSize;
+  uint64_t zone_offset = 0;
+  for (ListMeta& meta : directory_) {
+    uint64_t zigzag = 0;
+    uint64_t count = 0;
+    p = GetVarint64(p, limit, &zigzag);
+    if (p != nullptr) p = GetVarint64(p, limit, &count);
+    if (p == nullptr) return Status::Corruption("truncated index directory");
+    const int64_t delta = ZigZagDecode64(zigzag);
+    if (delta < -static_cast<int64_t>(key) ||
+        delta > static_cast<int64_t>(0xffffffffULL - key)) {
+      return Status::Corruption("directory key out of range");
+    }
+    key = static_cast<uint64_t>(static_cast<int64_t>(key) + delta);
+    if (count > 0xffffffffULL) {
+      return Status::Corruption("directory list size out of range");
+    }
+    uint64_t list_bytes = count * sizeof(PostedWindow);
+    if (format_ == idx::kFormatCompressed) {
+      p = GetVarint64(p, limit, &list_bytes);
+      if (p == nullptr) return Status::Corruption("truncated index directory");
+    }
+    if (list_bytes > idx::kMaxListBytes) {
+      return Status::Corruption("directory list size out of range");
+    }
+    if (limit - p < 4) return Status::Corruption("truncated index directory");
+    meta.key = static_cast<Token>(key);
+    meta.list_crc = DecodeFixed32(p);
+    p += 4;
+    meta.count = static_cast<uint32_t>(count);
+    meta.list_bytes = static_cast<uint32_t>(list_bytes);
+    meta.list_offset = list_offset;
+    list_offset += list_bytes;
+    if (zoned(meta)) {
+      zones.push_back(ZoneRef{meta.key, 0, zone_offset});
+      zone_offset += uint64_t{zone_count(meta)} * idx::kZoneEntrySize;
+    }
+  }
+  if (static_cast<uint64_t>(limit - p) != zones.size() * idx::kZoneCrcSize) {
+    return Status::Corruption("zone CRC table size mismatch");
+  }
+  // Lists and zone maps must tile the file from the header to the
+  // directory exactly.
+  if (list_offset + zone_offset != directory_offset) {
+    return Status::Corruption("index section sizes do not match directory");
+  }
+  for (ZoneRef& zone : zones) {
+    zone.crc = DecodeFixed32(p);
+    p += idx::kZoneCrcSize;
+    zone.offset += list_offset;
+  }
+  posting_bytes_ = list_offset - idx::kHeaderSize;
+  zone_bytes_ = zone_offset;
+  directory_bytes_ = size;
+  // Lists are in file order; builders that write partitions (the external
+  // build) leave that different from key order, which FindList needs.
+  const auto by_key = [](const auto& a, const auto& b) { return a.key < b.key; };
+  if (!std::is_sorted(directory_.begin(), directory_.end(), by_key)) {
+    std::sort(directory_.begin(), directory_.end(), by_key);
+    std::sort(zones.begin(), zones.end(), by_key);
+  }
+  keys_.resize(directory_.size());
+  for (size_t i = 0; i < directory_.size(); ++i) {
+    keys_[i] = directory_[i].key;
+    if (i > 0 && keys_[i] == keys_[i - 1]) {
+      return Status::Corruption("duplicate directory key " +
+                                std::to_string(keys_[i]));
+    }
+  }
+  zones_ = std::move(zones);
+  return Status::OK();
 }
 
 const ListMeta* InvertedIndexReader::FindList(Token key) const {
@@ -226,7 +312,7 @@ Status InvertedIndexReader::ReadWindowsForText(const ListMeta& meta,
                                                const QueryContext* ctx) {
   NDSS_RETURN_NOT_OK(CheckQueryContext(ctx));
   ScopedMemoryCharge scratch(ctx);
-  if (meta.zone_count == 0) {
+  if (!zoned(meta)) {
     // Short list: read fully and filter. The full decoded list is scratch
     // here — only the filtered windows survive into `out`.
     NDSS_RETURN_NOT_OK(scratch.Charge(meta.count * sizeof(PostedWindow)));
@@ -241,13 +327,21 @@ Status InvertedIndexReader::ReadWindowsForText(const ListMeta& meta,
   // Zone map: locate the first segment that can contain `text`. The zone
   // region has its own CRC (partial list reads below can't always verify
   // the full list checksum).
-  NDSS_RETURN_NOT_OK(scratch.Charge(meta.zone_count * idx::kZoneEntrySize));
-  std::vector<char> zones(meta.zone_count * idx::kZoneEntrySize);
+  const auto zone_ref = std::lower_bound(
+      zones_.begin(), zones_.end(), meta.key,
+      [](const ZoneRef& zone, Token key) { return zone.key < key; });
+  if (zone_ref == zones_.end() || zone_ref->key != meta.key) {
+    return Status::Corruption("no zone map for zoned list " +
+                              std::to_string(meta.key));
+  }
+  const uint32_t zone_count = this->zone_count(meta);
+  NDSS_RETURN_NOT_OK(scratch.Charge(zone_count * idx::kZoneEntrySize));
+  std::vector<char> zones(zone_count * idx::kZoneEntrySize);
   NDSS_RETURN_NOT_OK(
-      reader_.ReadAt(meta.zone_offset, zones.data(), zones.size()));
+      reader_.ReadAt(zone_ref->offset, zones.data(), zones.size()));
   if (io_bytes != nullptr) *io_bytes += zones.size();
   if (crc32c::Value(zones.data(), zones.size()) !=
-      crc32c::Unmask(meta.zone_crc)) {
+      crc32c::Unmask(zone_ref->crc)) {
     return Status::Corruption("zone map checksum mismatch for key " +
                               std::to_string(meta.key));
   }
@@ -255,7 +349,7 @@ Status InvertedIndexReader::ReadWindowsForText(const ListMeta& meta,
   // first entry with entry.text >= text and start one segment earlier:
   // every window before that point has text strictly below the target.
   uint32_t lo = 0;
-  uint32_t hi = meta.zone_count;
+  uint32_t hi = zone_count;
   while (lo < hi) {
     const uint32_t mid = lo + (hi - lo) / 2;
     const TextId entry_text =
@@ -328,12 +422,12 @@ Status InvertedIndexReader::ReadWindowsForText(const ListMeta& meta,
   TextId prev_text = 0;
   std::vector<char> buffer;
   std::vector<PostedWindow> decoded;
-  for (; segment < meta.zone_count; ++segment) {
+  for (; segment < zone_count; ++segment) {
     // One segment is at most zone_step_ windows — the probe's checkpoint
     // granularity.
     NDSS_RETURN_NOT_OK(CheckQueryContext(ctx));
     const uint64_t begin = zone_position(segment);
-    const uint64_t end = segment + 1 < meta.zone_count
+    const uint64_t end = segment + 1 < zone_count
                              ? zone_position(segment + 1)
                              : meta.list_bytes;
     if (begin > end || end > meta.list_bytes) {

@@ -17,10 +17,11 @@ namespace ndss {
 /// Reads one inverted-index file written by InvertedIndexWriter (raw or
 /// compressed posting format; the format is self-described in the header).
 ///
-/// The directory is held in memory (one entry per distinct min-hash key, at
-/// most vocabulary-sized); list and zone reads hit the disk through
-/// positional pread-style IO, so any number of threads may read lists
-/// concurrently. The `bytes_read()` counter is the IO-cost metric the
+/// The directory is decoded at open and held in memory (one 24-byte
+/// ListMeta per distinct min-hash key, at most vocabulary-sized, plus a
+/// 16-byte zone reference per zoned list); list and zone reads hit the disk
+/// through positional pread-style IO, so any number of threads may read
+/// lists concurrently. The `bytes_read()` counter is the IO-cost metric the
 /// experiments report.
 class InvertedIndexReader : public InvertedListSource {
  public:
@@ -52,6 +53,18 @@ class InvertedIndexReader : public InvertedListSource {
                             uint64_t* io_bytes,
                             const QueryContext* ctx) override;
 
+  /// Whether `meta`'s list has a zone map: exactly when it holds at least
+  /// one window and at least the file's zone_threshold windows.
+  bool zoned(const ListMeta& meta) const {
+    return meta.count > 0 && meta.count >= zone_threshold_;
+  }
+
+  /// Number of zone-map entries of `meta`'s list (0 when not zoned): one
+  /// per zone_step windows, rounded up.
+  uint32_t zone_count(const ListMeta& meta) const {
+    return zoned(meta) ? (meta.count - 1) / zone_step_ + 1 : 0;
+  }
+
   /// Hash function id this file was written for.
   uint32_t func() const { return func_; }
 
@@ -70,12 +83,34 @@ class InvertedIndexReader : public InvertedListSource {
     return directory_;
   }
 
+  /// How the file's bytes split: posting lists, zone maps, and directory
+  /// (the varint entries plus the zone CRC table). The 64 bytes of header
+  /// and footer make up the rest of file_bytes().
+  uint64_t posting_bytes() const { return posting_bytes_; }
+  uint64_t zone_bytes() const { return zone_bytes_; }
+  uint64_t directory_bytes() const { return directory_bytes_; }
+  uint64_t file_bytes() const { return reader_.size(); }
+
   /// Total bytes physically read so far.
   uint64_t bytes_read() const override { return reader_.bytes_read(); }
 
  private:
+  /// Where a zoned list's zone entries are and their checksum. Kept apart
+  /// from ListMeta because few lists are zoned.
+  struct ZoneRef {
+    Token key;
+    uint32_t crc;     ///< masked CRC32C of the list's zone entries
+    uint64_t offset;  ///< absolute file offset of the first entry
+  };
+
   InvertedIndexReader(FileReader reader, uint32_t func, uint32_t zone_step,
+                      uint32_t zone_threshold,
                       index_format::PostingFormat format);
+
+  /// Decodes the varint directory and zone CRC table `metadata` (the bytes
+  /// from directory_offset to the footer) of a file with `num_lists` lists.
+  Status DecodeDirectory(const char* metadata, size_t size,
+                         uint64_t num_lists, uint64_t directory_offset);
 
   /// Decodes `max_windows` windows of a compressed run starting at a
   /// restart point. Stops early if the buffer is exhausted.
@@ -85,10 +120,15 @@ class InvertedIndexReader : public InvertedListSource {
   FileReader reader_;
   uint32_t func_ = 0;
   uint32_t zone_step_ = 64;
+  uint32_t zone_threshold_ = 0;
   index_format::PostingFormat format_ = index_format::kFormatRaw;
   uint64_t num_windows_ = 0;
+  uint64_t posting_bytes_ = 0;
+  uint64_t zone_bytes_ = 0;
+  uint64_t directory_bytes_ = 0;
   std::vector<ListMeta> directory_;
-  std::vector<Token> keys_;  ///< directory_[i].key, for FindList
+  std::vector<Token> keys_;     ///< directory_[i].key, for FindList
+  std::vector<ZoneRef> zones_;  ///< one per zoned list, sorted by key
 };
 
 }  // namespace ndss

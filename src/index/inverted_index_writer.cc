@@ -43,25 +43,27 @@ Result<InvertedIndexWriter> InvertedIndexWriter::Create(
 
 Status InvertedIndexWriter::FlushCurrentList() {
   if (!list_open_) return Status::OK();
+  const uint64_t list_bytes = writer_.bytes_written() - current_offset_;
+  // A compressed window takes at least 4 bytes and a raw one 16, so the
+  // byte bound also keeps count within its u32.
+  if (list_bytes > idx::kMaxListBytes) {
+    return Status::ResourceExhausted(
+        "inverted list for key " + std::to_string(current_key_) +
+        " exceeds 4 GiB of encoded bytes; raise t or split the corpus");
+  }
   DirectoryEntry entry;
   entry.key = current_key_;
-  entry.count = current_count_;
-  entry.list_offset = current_offset_;
-  entry.list_bytes = writer_.bytes_written() - current_offset_;
+  entry.count = static_cast<uint32_t>(current_count_);
+  entry.list_bytes = static_cast<uint32_t>(list_bytes);
   entry.list_crc = crc32c::Mask(current_crc_);
-  if (format_ == idx::kFormatCompressed &&
-      entry.list_bytes > 0xffffffffULL) {
-    return Status::ResourceExhausted(
-        "compressed list exceeds 4 GiB; raise zone_step or use raw format");
-  }
-  if (current_count_ >= zone_threshold_) {
-    entry.zone_first = zone_entries_.size();
-    entry.zone_count = static_cast<uint32_t>(current_zones_.size());
-    zone_entries_.insert(zone_entries_.end(), current_zones_.begin(),
-                         current_zones_.end());
-  } else {
-    entry.zone_first = 0;
-    entry.zone_count = 0;
+  if (current_count_ > 0 && current_count_ >= zone_threshold_) {
+    const size_t zone_begin = zone_bytes_.size();
+    for (const auto& [text, position] : current_zones_) {
+      PutFixed32(&zone_bytes_, text);
+      PutFixed32(&zone_bytes_, position);
+    }
+    zone_crcs_.push_back(crc32c::Mask(crc32c::Value(
+        zone_bytes_.data() + zone_begin, zone_bytes_.size() - zone_begin)));
   }
   directory_.push_back(entry);
   list_open_ = false;
@@ -153,61 +155,46 @@ Status InvertedIndexWriter::Finish() {
   NDSS_RETURN_NOT_OK(FlushCurrentList());
   finished_ = true;
   // Lists may be appended in any key order (the out-of-core builder emits
-  // hash partitions); the directory is sorted here so the reader can binary
-  // search. Keys must still be distinct across lists.
-  std::sort(directory_.begin(), directory_.end(),
-            [](const DirectoryEntry& a, const DirectoryEntry& b) {
-              return a.key < b.key;
-            });
-  for (size_t i = 1; i < directory_.size(); ++i) {
-    if (directory_[i].key == directory_[i - 1].key) {
-      return Status::InvalidArgument(
-          "duplicate inverted-list key " + std::to_string(directory_[i].key));
-    }
+  // hash partitions), and the directory keeps that order so offsets stay
+  // prefix sums; the reader sorts it at open. Keys must still be distinct.
+  std::vector<Token> keys(directory_.size());
+  for (size_t i = 0; i < directory_.size(); ++i) keys[i] = directory_[i].key;
+  std::sort(keys.begin(), keys.end());
+  const auto duplicate = std::adjacent_find(keys.begin(), keys.end());
+  if (duplicate != keys.end()) {
+    return Status::InvalidArgument("duplicate inverted-list key " +
+                                   std::to_string(*duplicate));
   }
-  // Zone section. Zone CRCs are computed per list over its serialized
-  // entries, keyed by zone_first (entries were appended in list order, which
-  // the directory sort above may have permuted).
-  const uint64_t zone_section_offset = writer_.bytes_written();
-  std::string zone_bytes;
-  zone_bytes.reserve(zone_entries_.size() * idx::kZoneEntrySize);
-  for (const auto& [text, position] : zone_entries_) {
-    PutFixed32(&zone_bytes, text);
-    PutFixed32(&zone_bytes, position);
-  }
-  NDSS_RETURN_NOT_OK(writer_.Append(zone_bytes));
-  // Directory.
+  // Zone section, in list order: zone offsets are prefix sums of the zoned
+  // lists' entry counts.
+  NDSS_RETURN_NOT_OK(writer_.Append(zone_bytes_));
+  // Directory (varint entries in list order), then the zone CRC table.
   const uint64_t directory_offset = writer_.bytes_written();
-  std::string directory_bytes;
-  directory_bytes.reserve(directory_.size() * idx::kDirectoryEntrySize);
+  std::string metadata;
+  metadata.reserve(directory_.size() * 8 + zone_crcs_.size() * 4);
+  Token previous_key = 0;
   for (const DirectoryEntry& entry : directory_) {
-    uint32_t zone_crc = 0;
-    uint64_t zone_offset = 0;
-    if (entry.zone_count > 0) {
-      zone_offset =
-          zone_section_offset + entry.zone_first * idx::kZoneEntrySize;
-      zone_crc = crc32c::Mask(crc32c::Value(
-          zone_bytes.data() + entry.zone_first * idx::kZoneEntrySize,
-          entry.zone_count * idx::kZoneEntrySize));
+    const int64_t delta = static_cast<int64_t>(entry.key) -
+                          static_cast<int64_t>(previous_key);
+    PutVarint64(&metadata, ZigZagEncode64(delta));
+    previous_key = entry.key;
+    PutVarint32(&metadata, entry.count);
+    if (format_ == idx::kFormatCompressed) {
+      PutVarint32(&metadata, entry.list_bytes);
     }
-    PutFixed32(&directory_bytes, entry.key);
-    PutFixed32(&directory_bytes, entry.list_crc);
-    PutFixed64(&directory_bytes, entry.count);
-    PutFixed64(&directory_bytes, entry.list_offset);
-    PutFixed64(&directory_bytes, entry.list_bytes);
-    PutFixed64(&directory_bytes, zone_offset);
-    PutFixed32(&directory_bytes, entry.zone_count);
-    PutFixed32(&directory_bytes, zone_crc);
+    PutFixed32(&metadata, entry.list_crc);
   }
-  NDSS_RETURN_NOT_OK(writer_.Append(directory_bytes));
-  // Footer: the checksum covers the header, the directory, and the footer's
-  // own prefix, so a flipped bit in any metadata region fails the open.
+  for (uint32_t zone_crc : zone_crcs_) PutFixed32(&metadata, zone_crc);
+  NDSS_RETURN_NOT_OK(writer_.Append(metadata));
+  // Footer: the checksum covers the header, the directory and zone CRCs,
+  // and the footer's own prefix, so a flipped bit in any metadata region
+  // fails the open.
   std::string footer;
   PutFixed64(&footer, directory_.size());
   PutFixed64(&footer, num_windows_);
   PutFixed64(&footer, directory_offset);
   uint32_t crc = crc32c::Value(header_bytes_.data(), header_bytes_.size());
-  crc = crc32c::Extend(crc, directory_bytes.data(), directory_bytes.size());
+  crc = crc32c::Extend(crc, metadata.data(), metadata.size());
   crc = crc32c::Extend(crc, footer.data(), footer.size());
   PutFixed32(&footer, crc32c::Mask(crc));
   PutFixed32(&footer, 0);  // pad

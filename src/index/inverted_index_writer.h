@@ -14,34 +14,41 @@
 namespace ndss {
 
 /// Writes one inverted-index file (one hash function's index, Section 3.4),
-/// format v2 — checksummed and crash-safe.
+/// format v3 — checksummed, crash-safe, with a compact varint directory.
 ///
-/// File layout:
+/// File layout (index_format.h has the field-level description):
 ///
 ///   header    : magic u64, func u32, zone_step u32, zone_threshold u32,
 ///               posting format u32
-///   lists     : posting lists back to back, each sorted by (text, l);
-///               raw (16-byte records) or delta+varint compressed with
-///               restart points every zone_step windows
+///   lists     : posting lists back to back in the order they were written,
+///               each sorted by (text, l); raw (16-byte records) or
+///               delta+varint compressed with restart points every
+///               zone_step windows
 ///   zones     : (text u32, position u32) pairs; lists with at least
 ///               `zone_threshold` windows get one entry every `zone_step`
 ///               windows (always including window 0) so a single text's
 ///               windows can be located without reading the whole list.
 ///               `position` is a window index (raw) or a byte offset into
-///               the list (compressed).
-///   directory : per list — key, list CRC32C, count, list offset, list
-///               bytes, zone offset, zone count, zone CRC32C — sorted by key
+///               the list (compressed). Zoned lists' entries lie back to
+///               back in list order.
+///   directory : per list, in list order — zigzag varint key delta, varint
+///               count, varint byte length (compressed only), list CRC32C
+///               u32. Offsets are prefix sums of the byte lengths; zoned-ness
+///               and zone counts follow from count.
+///   zone CRCs : one CRC32C u32 per zoned list, in list order
 ///   footer    : num_lists u64, num_windows u64, directory_offset u64,
-///               checksum u32 (CRC32C of header ++ directory ++ footer
-///               prefix), pad u32, magic u64
+///               checksum u32 (CRC32C of header ++ directory ++ zone CRCs
+///               ++ footer prefix), pad u32, magic u64
 ///
 /// Durability: all bytes go to `<path>.tmp`; Finish() fsyncs and atomically
 /// renames onto `path`, so a crash at any earlier point leaves no file at
 /// `path` (a stale temp is swept by the builders' orphan cleanup).
 ///
-/// Lists may be fed in any key order (the directory is sorted at Finish)
-/// but keys must be distinct, and windows within a list must be sorted by
-/// (text, l) — the builders guarantee this by ordering KeyedWindows first.
+/// Lists may be fed in any key order (the external builder emits hash
+/// partitions; the reader sorts the directory at open when needed) but keys
+/// must be distinct, and windows within a list must be sorted by (text, l)
+/// — the builders guarantee this by ordering KeyedWindows first. A list
+/// over index_format::kMaxListBytes is refused with ResourceExhausted.
 class InvertedIndexWriter {
  public:
   static Result<InvertedIndexWriter> Create(
@@ -78,12 +85,9 @@ class InvertedIndexWriter {
  private:
   struct DirectoryEntry {
     Token key;
-    uint64_t count;
-    uint64_t list_offset;
-    uint64_t list_bytes;
-    uint64_t zone_first;  // index into zone_entries_ until Finish
-    uint32_t zone_count;
-    uint32_t list_crc;    // masked CRC32C of the list bytes
+    uint32_t count;
+    uint32_t list_bytes;
+    uint32_t list_crc;  // masked CRC32C of the list bytes
   };
 
   InvertedIndexWriter(FileWriter writer, std::string final_path,
@@ -107,8 +111,9 @@ class InvertedIndexWriter {
   TextId prev_text_ = 0;        // delta base (compressed format)
   std::string encode_buffer_;   // per-call encoding scratch (compressed)
   std::vector<std::pair<TextId, uint32_t>> current_zones_;
-  std::vector<std::pair<TextId, uint32_t>> zone_entries_;
-  std::vector<DirectoryEntry> directory_;
+  std::string zone_bytes_;        // serialized zone section, in list order
+  std::vector<uint32_t> zone_crcs_;  // masked CRC32C per zoned list
+  std::vector<DirectoryEntry> directory_;  // in list (file) order
   uint64_t num_windows_ = 0;
   bool finished_ = false;
 };

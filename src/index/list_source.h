@@ -12,21 +12,21 @@ namespace ndss {
 
 class QueryContext;
 
-/// Directory metadata of one inverted list. The fields are ordered so the
-/// struct packs into 48 bytes with no padding: a serve shard holds one per
-/// distinct min-hash key per function, so every byte counts in RSS.
+/// Directory metadata of one inverted list. A serve shard holds one per
+/// distinct min-hash key per function, so every byte counts in RSS: the
+/// struct packs into 24 bytes with no padding. count and list_bytes are u32
+/// because the writer refuses any list over index_format::kMaxListBytes;
+/// zone maps are not described here (the on-disk reader keeps them in a
+/// side table of its zoned lists, InvertedIndexReader::zoned).
 struct ListMeta {
   Token key = 0;
-  uint32_t list_crc = 0;     ///< masked CRC32C of the list bytes (v2; 0 in
-                             ///< the in-memory index, which skips checks)
-  uint64_t count = 0;        ///< number of windows in the list
+  uint32_t list_crc = 0;     ///< masked CRC32C of the list bytes (0 in the
+                             ///< in-memory index, which skips checks)
+  uint32_t count = 0;        ///< number of windows in the list
+  uint32_t list_bytes = 0;   ///< encoded size of the list in bytes
   uint64_t list_offset = 0;  ///< absolute file offset of the list (on disk)
-  uint64_t list_bytes = 0;   ///< encoded size of the list in bytes
-  uint64_t zone_offset = 0;  ///< absolute offset of zone entries (0 = none)
-  uint32_t zone_count = 0;   ///< number of zone entries
-  uint32_t zone_crc = 0;     ///< masked CRC32C of the zone region (v2)
 };
-static_assert(sizeof(ListMeta) == 48, "ListMeta must stay unpadded");
+static_assert(sizeof(ListMeta) == 24, "ListMeta must stay unpadded");
 
 /// The FindList lookup both list sources share: binary-searches `keys`
 /// (directory[i].key for every i, ascending) and returns &directory[i] for
@@ -60,7 +60,7 @@ class InvertedListSource {
   /// Directory entry for `key`, or nullptr if the key has no list. The
   /// entry is an element of directory(). Both implementations binary-search
   /// a dense array of the directory's keys built at open (4 bytes a key
-  /// instead of a 48-byte stride), which halves the lookup a query pays
+  /// instead of a 24-byte stride), which shortens the lookup a query pays
   /// once per hash function.
   virtual const ListMeta* FindList(Token key) const = 0;
 

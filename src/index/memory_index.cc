@@ -2,7 +2,9 @@
 
 #include <algorithm>
 
+#include "common/logging.h"
 #include "common/query_context.h"
+#include "index/index_format.h"
 #include "index/ordered_windows.h"
 
 namespace ndss {
@@ -27,8 +29,13 @@ InMemoryInvertedIndex::InMemoryInvertedIndex(const Corpus& corpus,
       windows_.push_back(keyed[i].ToPosted());
       ++i;
     }
-    meta.count = windows_.size() - meta.list_offset;
-    meta.list_bytes = meta.count * sizeof(PostedWindow);
+    const uint64_t count = windows_.size() - meta.list_offset;
+    // The per-list bound the on-disk writer enforces, so ListMeta's u32
+    // fields never truncate.
+    NDSS_CHECK(count * sizeof(PostedWindow) <= index_format::kMaxListBytes)
+        << "inverted list for key " << key << " exceeds 4 GiB";
+    meta.count = static_cast<uint32_t>(count);
+    meta.list_bytes = static_cast<uint32_t>(count * sizeof(PostedWindow));
     directory_.push_back(meta);
     keys_.push_back(key);
   }

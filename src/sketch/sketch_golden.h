@@ -16,8 +16,8 @@
 /// sketch_test and by bench_sketch's first gate, both through
 /// CheckGoldenVectors(). The kIndependent values
 /// were recorded from the original k-independent hash-family
-/// implementation, so v2 indexes built before SketchScheme existed keep
-/// answering identically.
+/// implementation, so an index built before SketchScheme existed holds the
+/// same lists when rebuilt.
 namespace ndss {
 namespace sketch_golden {
 

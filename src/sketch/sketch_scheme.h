@@ -95,8 +95,9 @@ class SketchScheme {
   }
 
   /// Hash of `token` under function `func`. `func` must be < k(). The
-  /// values of both schemes are part of the on-disk format (v2 indexes are
-  /// kIndependent) and are pinned by sketch/sketch_golden.h.
+  /// values of both schemes are part of the on-disk format (indexes written
+  /// before schemes existed are kIndependent) and are pinned by
+  /// sketch/sketch_golden.h.
   uint64_t Hash(uint32_t func, Token token) const {
     return HashFromBase(func, BaseHash(token));
   }

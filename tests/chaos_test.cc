@@ -350,12 +350,17 @@ TEST_P(ChaosTest, ScriptedFaultScheduleNeverCorruptsAnswers) {
   }
 
   // Recovery: faults are gone; pin the topology to the base three shards
-  // and wait for the monitor to heal everything.
+  // and wait for the monitor to heal everything. A suspect shard returns to
+  // healthy only on a served success, so the loop keeps one query in
+  // flight per iteration (a run whose last outcome on some shard was a
+  // transient failure would otherwise stay suspect with no traffic).
   (void)sharded->DetachShard(ShardDir(3));
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(15);
   bool healthy = false;
-  while (!healthy && std::chrono::steady_clock::now() < deadline) {
+  for (size_t q = 0; !healthy && std::chrono::steady_clock::now() < deadline;
+       ++q) {
+    (void)sharded->Search(queries[q % queries.size()], search_options);
     const auto shards = sharded->shards();
     healthy = shards.size() == 3;
     for (const ShardInfo& info : shards) {

@@ -526,7 +526,7 @@ TEST_F(EnvFaultInjectionTest, CorruptedAppendNeverYieldsSilentZoneProbes) {
       const bool full_read_corrupt =
           !dirty->ReadList(*dirty_list, &full).ok();
       detected = detected || full_read_corrupt;
-      if (dirty_list->zone_count == 0) continue;
+      if (!dirty->zoned(*dirty_list)) continue;
       ++zoned_lists;
       for (TextId text = 0; text < meta->num_texts; ++text) {
         std::vector<PostedWindow> expected, got;

@@ -297,8 +297,8 @@ TEST_F(FailureInjectionTest, OrphanTempAndSpillFilesSweptBeforeBuild) {
 }
 
 TEST_F(FailureInjectionTest, V1IndexFileRejectedWithClearError) {
-  // v1 and v2 magics differ only in the version character ('1' vs '2') at
-  // byte 7 of the little-endian header magic.
+  // The v1, v2 and v3 magics differ only in the version character ('1',
+  // '2', '3') at byte 7 of the little-endian header magic.
   const std::string path = IndexMeta::InvertedIndexPath(dir_ + "/idx", 0);
   PatchByte(path, 7, '1');
   auto reader = InvertedIndexReader::Open(path);
@@ -306,6 +306,24 @@ TEST_F(FailureInjectionTest, V1IndexFileRejectedWithClearError) {
   EXPECT_TRUE(reader.status().IsInvalidArgument())
       << reader.status().ToString();
   EXPECT_NE(reader.status().ToString().find("v1"), std::string::npos);
+}
+
+TEST_F(FailureInjectionTest, V2IndexFileRejectedWithClearError) {
+  // A v2 file (fixed 48-byte directory entries) is refused with a rebuild
+  // message rather than read as a corrupt v3 file.
+  const std::string path = IndexMeta::InvertedIndexPath(dir_ + "/idx", 0);
+  PatchByte(path, 7, '2');
+  auto reader = InvertedIndexReader::Open(path);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_TRUE(reader.status().IsInvalidArgument())
+      << reader.status().ToString();
+  EXPECT_NE(reader.status().ToString().find("v2"), std::string::npos);
+  EXPECT_NE(reader.status().ToString().find("rebuild"), std::string::npos);
+  // The searcher surfaces the same refusal.
+  auto searcher = Searcher::Open(dir_ + "/idx");
+  ASSERT_FALSE(searcher.ok());
+  EXPECT_TRUE(searcher.status().IsInvalidArgument())
+      << searcher.status().ToString();
 }
 
 TEST_F(FailureInjectionTest, V1CorpusFileRejectedWithClearError) {
@@ -424,7 +442,7 @@ TEST_F(FailureInjectionTest, ZoneProbeDetectsOutOfOrderWindows) {
     ASSERT_TRUE(reader.ok());
     const ListMeta* meta = reader->FindList(7);
     ASSERT_NE(meta, nullptr);
-    ASSERT_GT(meta->zone_count, 0u) << "list must be zoned for this test";
+    ASSERT_TRUE(reader->zoned(*meta)) << "list must be zoned for this test";
     // Rewrite window 50's text id (4 bytes little-endian) to 0: texts now
     // run ... 48, 49, 0, 51 ... inside one zone segment.
     for (int b = 0; b < 4; ++b) {
@@ -450,7 +468,7 @@ TEST_F(FailureInjectionTest, ZoneProbeDetectsInvalidWindowBounds) {
   ASSERT_TRUE(clean.ok());
   const ListMeta* meta = clean->FindList(7);
   ASSERT_NE(meta, nullptr);
-  ASSERT_GT(meta->zone_count, 0u);
+  ASSERT_TRUE(clean->zoned(*meta));
   // Set the high byte of window 50's l field: l becomes > c, which no
   // writer can produce (windows always satisfy l <= c <= r).
   PatchByte(path, meta->list_offset + 50 * sizeof(PostedWindow) + 7, 0x7f);
@@ -474,7 +492,7 @@ TEST_F(FailureInjectionTest, ZoneProbeFromListStartVerifiesFullCrc) {
   ASSERT_TRUE(clean.ok());
   const ListMeta* meta = clean->FindList(7);
   ASSERT_NE(meta, nullptr);
-  ASSERT_GT(meta->zone_count, 0u);
+  ASSERT_TRUE(clean->zoned(*meta));
   PatchByte(path, meta->list_offset + 80 * sizeof(PostedWindow) + 15, 0x01);
   auto reader = InvertedIndexReader::Open(path);
   ASSERT_TRUE(reader.ok());

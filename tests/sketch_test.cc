@@ -56,6 +56,31 @@ std::vector<Token> RandomTokens(size_t n, uint32_t vocab, uint64_t seed) {
   return tokens;
 }
 
+/// crc32c of an inverted file's decoded lists: for each list in directory
+/// order, key u32 and count u64, then each window's text, l, c, r as u32,
+/// all little-endian. Depends only on what the file holds, not on how it
+/// encodes it.
+uint32_t DecodedListsCrc(const std::string& path) {
+  auto reader = InvertedIndexReader::Open(path);
+  EXPECT_TRUE(reader.ok()) << reader.status().ToString();
+  if (!reader.ok()) return 0;
+  std::string stream;
+  std::vector<PostedWindow> windows;
+  for (const ListMeta& meta : reader->directory()) {
+    PutFixed32(&stream, meta.key);
+    PutFixed64(&stream, meta.count);
+    windows.clear();
+    EXPECT_TRUE(reader->ReadList(meta, &windows).ok()) << path;
+    for (const PostedWindow& w : windows) {
+      PutFixed32(&stream, w.text);
+      PutFixed32(&stream, w.l);
+      PutFixed32(&stream, w.c);
+      PutFixed32(&stream, w.r);
+    }
+  }
+  return crc32c::Value(stream.data(), stream.size());
+}
+
 // ---------------------------------------------------------------------------
 // Golden vectors: the format contract
 // ---------------------------------------------------------------------------
@@ -84,32 +109,41 @@ TEST_F(SketchTest, GoldenIndexFiles) {
     }
     corpus.AddText(text);
   }
-  // crc32c of every file of the index, in kFiles order.
+  // crc32c of every file of the index, in kFiles order, and of each
+  // inverted file's decoded lists (DecodedListsCrc): the decoded values pin
+  // the logical content independently of the file format, so a format change
+  // that re-pins the file CRCs must leave them untouched.
   static constexpr const char* kFiles[] = {
       "CURRENT",        "index.meta",     "inverted.0.ndx",
       "inverted.1.ndx", "inverted.2.ndx", "inverted.3.ndx"};
+  static constexpr uint32_t kFuncs = 4;
   struct GoldenIndex {
     SketchSchemeId scheme;
     bool compressed;
     uint32_t crcs[std::size(kFiles)];
+    uint32_t decoded_crcs[kFuncs];
   };
   static constexpr GoldenIndex kIndexes[] = {
       {SketchSchemeId::kIndependent, false,
-       {0xd4ebd8a9u, 0x7485a17fu, 0xd935c7b7u, 0x4452c00eu, 0x31a87a06u,
-        0x698a6008u}},
+       {0xd4ebd8a9u, 0x7485a17fu, 0xe63f624bu, 0x0c35f72du, 0x4e513aa6u,
+        0xdb0f021cu},
+       {0x9bff04a8u, 0x32207f54u, 0xac16c15au, 0x65b1573au}},
       {SketchSchemeId::kIndependent, true,
-       {0xd4ebd8a9u, 0x7485a17fu, 0x05084a0du, 0x7da80a18u, 0xae21dd9du,
-        0x56a5f32fu}},
+       {0xd4ebd8a9u, 0x7485a17fu, 0x9c53ff08u, 0xa5ce6c4cu, 0x8a286f1cu,
+        0x84dd1422u},
+       {0x9bff04a8u, 0x32207f54u, 0xac16c15au, 0x65b1573au}},
       {SketchSchemeId::kCMinHash, false,
-       {0xd4ebd8a9u, 0x53e5b4c9u, 0x19e7eec6u, 0x6f128d1fu, 0xc7ffab7fu,
-        0xa3b67d7cu}},
+       {0xd4ebd8a9u, 0x53e5b4c9u, 0x031213bfu, 0x4892bc68u, 0xcdc8fa86u,
+        0x85c7d740u},
+       {0xe2589728u, 0x47282a52u, 0xd6ae9e10u, 0x46b2c4f0u}},
       {SketchSchemeId::kCMinHash, true,
-       {0xd4ebd8a9u, 0x53e5b4c9u, 0xac5ab07du, 0x9f92b41cu, 0xb0e84c31u,
-        0x1a9358a3u}},
+       {0xd4ebd8a9u, 0x53e5b4c9u, 0xa7f1f8c1u, 0x183c6b1fu, 0xefe7dce1u,
+        0x1a67f87fu},
+       {0xe2589728u, 0x47282a52u, 0xd6ae9e10u, 0x46b2c4f0u}},
   };
   for (const GoldenIndex& golden : kIndexes) {
     IndexBuildOptions options;
-    options.k = 4;
+    options.k = kFuncs;
     options.seed = 99;
     options.t = 8;
     options.zone_step = 4;
@@ -131,6 +165,11 @@ TEST_F(SketchTest, GoldenIndexFiles) {
       ASSERT_TRUE(data.ok()) << data.status().ToString();
       EXPECT_EQ(crc32c::Value(data->data(), data->size()), golden.crcs[i])
           << dir << "/" << kFiles[i];
+    }
+    for (uint32_t func = 0; func < kFuncs; ++func) {
+      EXPECT_EQ(DecodedListsCrc(IndexMeta::InvertedIndexPath(dir, func)),
+                golden.decoded_crcs[func])
+          << dir << " function " << func;
     }
   }
 }

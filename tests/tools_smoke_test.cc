@@ -150,6 +150,32 @@ TEST_F(ToolsSmokeTest, SketchFlagSelectsSchemeEndToEnd) {
   EXPECT_NE(ReadLog(log_).find("\"sketch\": \"cminhash\""), std::string::npos)
       << ReadLog(log_);
 
+  // The byte split accounts for every byte of the k inverted files: lists,
+  // zone maps, directory, plus a 24-byte header and 40-byte footer each.
+  auto stats = net::ParseJson(ReadLog(log_));
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString() << "\n"
+                          << ReadLog(log_);
+  const auto field = [&](const char* name) {
+    const net::JsonValue* value = stats->Find(name);
+    EXPECT_TRUE(value != nullptr && value->is_number()) << name;
+    return value != nullptr && value->is_number() ? value->number() : -1.0;
+  };
+  double inverted_file_bytes = 0;
+  for (int func = 0; func < 4; ++func) {
+    inverted_file_bytes += static_cast<double>(std::filesystem::file_size(
+        dir_ + "/cm/inverted." + std::to_string(func) + ".ndx"));
+  }
+  EXPECT_EQ(field("file_bytes"), inverted_file_bytes);
+  EXPECT_GT(field("posting_bytes"), 0);
+  EXPECT_EQ(field("posting_bytes"), field("list_bytes"));
+  EXPECT_GE(field("zone_bytes"), 0);
+  EXPECT_GT(field("directory_bytes"), 0);
+  EXPECT_EQ(field("posting_bytes") + field("zone_bytes") +
+                field("directory_bytes") + 4 * 64,
+            field("file_bytes"));
+  EXPECT_NEAR(field("directory_share"),
+              field("directory_bytes") / field("file_bytes"), 1e-4);
+
   // An unknown scheme name must be a loud usage error, not a default.
   ExpectExit(1, Tool("ndss_build") + " --corpus=" + corpus + " --index=" +
                     dir_ + "/bad --k=4 --t=6 --sketch=simhash");

@@ -1,6 +1,7 @@
 // ndss_fsck: integrity checker for an index directory. Verifies the commit
 // marker, meta checksum, and every inverted-index file: magics, the footer
-// checksum (header ++ directory), directory ordering, per-list window
+// checksum (header ++ directory ++ zone CRCs) and the directory's tiling of
+// the file (both at open), directory ordering, per-list window
 // counts, (text, l) sort order within lists, per-list and zone-map CRC32C
 // (exercised by --deep reads and zone probes), and the total window count
 // against the footer. Optionally verifies a corpus file's per-text and
@@ -162,7 +163,7 @@ void CheckFile(const std::string& path, bool deep, uint64_t* total_windows,
     }
     // Zone-map spot check: the probe path must reproduce the scan for the
     // first and last text in the list (and verifies the zone CRC).
-    if (meta.zone_count > 0 && !windows.empty()) {
+    if (reader->zoned(meta) && !windows.empty()) {
       for (ndss::TextId text : {windows.front().text, windows.back().text}) {
         std::vector<ndss::PostedWindow> probed, expected;
         ndss::Status probe = reader->ReadWindowsForText(meta, text, &probed);

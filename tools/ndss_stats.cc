@@ -5,9 +5,13 @@
 //
 //   ndss_stats --index=/data/idx [--widths] [--json]
 //
-// --json emits the summary (build parameters, list/window totals, the
-// percentile distribution) as a single machine-readable object, like
-// ndss_fsck --json; --widths is ignored in that mode. In --json mode
+// Both modes report how the inverted files' bytes split between posting
+// lists, zone maps and the list directory, and the directory's share of
+// the file bytes (header and footer are the remaining 64 bytes a file).
+//
+// --json emits the summary (build parameters, list/window totals, the byte
+// split, the percentile distribution) as a single machine-readable object,
+// like ndss_fsck --json; --widths is ignored in that mode. In --json mode
 // failures are reported as {"ok": false, "error": ...} with exit 1 instead
 // of a bare stderr line, so monitoring that shells out to this tool can
 // keep a single JSON parser on the happy and sad paths alike.
@@ -65,6 +69,10 @@ int main(int argc, char** argv) {
   uint64_t total_windows = 0;
   uint64_t total_bytes = 0;
   uint64_t zone_lists = 0;
+  uint64_t file_bytes = 0;
+  uint64_t posting_bytes = 0;
+  uint64_t zone_bytes = 0;
+  uint64_t directory_bytes = 0;
   for (uint32_t func = 0; func < meta->k; ++func) {
     const std::string path =
         ndss::IndexMeta::InvertedIndexPath(index_dir, func);
@@ -73,11 +81,18 @@ int main(int argc, char** argv) {
     for (const ndss::ListMeta& list : reader->directory()) {
       counts.push_back(list.count);
       total_bytes += list.list_bytes;
-      if (list.zone_count > 0) ++zone_lists;
+      if (reader->zoned(list)) ++zone_lists;
     }
     total_windows += reader->num_windows();
+    file_bytes += reader->file_bytes();
+    posting_bytes += reader->posting_bytes();
+    zone_bytes += reader->zone_bytes();
+    directory_bytes += reader->directory_bytes();
   }
   std::sort(counts.begin(), counts.end(), std::greater<uint64_t>());
+  const double directory_share =
+      file_bytes == 0 ? 0.0
+                      : static_cast<double>(directory_bytes) / file_bytes;
 
   if (json) {
     const std::string escaped_dir = JsonEscape(index_dir);
@@ -87,7 +102,10 @@ int main(int argc, char** argv) {
                 "  \"num_texts\": %llu,\n"
                 "  \"total_tokens\": %llu,\n  \"lists\": %zu,\n"
                 "  \"windows\": %llu,\n  \"list_bytes\": %llu,\n"
-                "  \"zone_lists\": %llu,\n",
+                "  \"zone_lists\": %llu,\n  \"file_bytes\": %llu,\n"
+                "  \"posting_bytes\": %llu,\n  \"zone_bytes\": %llu,\n"
+                "  \"directory_bytes\": %llu,\n"
+                "  \"directory_share\": %.4f,\n",
                 escaped_dir.c_str(), meta->k,
                 static_cast<unsigned long long>(meta->seed), meta->t,
                 ndss::SketchSchemeName(meta->sketch),
@@ -96,7 +114,12 @@ int main(int argc, char** argv) {
                 counts.size(),
                 static_cast<unsigned long long>(total_windows),
                 static_cast<unsigned long long>(total_bytes),
-                static_cast<unsigned long long>(zone_lists));
+                static_cast<unsigned long long>(zone_lists),
+                static_cast<unsigned long long>(file_bytes),
+                static_cast<unsigned long long>(posting_bytes),
+                static_cast<unsigned long long>(zone_bytes),
+                static_cast<unsigned long long>(directory_bytes),
+                directory_share);
     std::printf("  \"list_length_percentiles\": {");
     const double json_n = static_cast<double>(counts.size());
     const double pcts[] = {0.0, 0.001, 0.01, 0.05, 0.10, 0.25, 0.50, 0.90};
@@ -130,6 +153,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(meta->num_texts),
               static_cast<unsigned long long>(meta->total_tokens),
               total_bytes / (4.0 * meta->total_tokens));
+  std::printf("files: %.2f MB = postings %.2f MB + zones %.2f MB + "
+              "directory %.2f MB (%.1f%% of file bytes) + header/footer\n",
+              file_bytes / 1e6, posting_bytes / 1e6, zone_bytes / 1e6,
+              directory_bytes / 1e6, 100.0 * directory_share);
 
   std::printf("\nlist length distribution (Zipf skew):\n");
   std::printf("  %-12s %12s\n", "percentile", "windows");
